@@ -419,16 +419,6 @@ impl<W> Engine<W> {
         self.queue.earliest_time()
     }
 
-    /// [`next_event_time`](Engine::next_event_time) for exclusive
-    /// owners: may activate (and lazily sort) the queue's front
-    /// bucket, so the window loop's repeated peeks cost O(1) instead
-    /// of rescanning the front bucket each time. The activation work
-    /// is the same the next pop would have done; results never
-    /// differ from `next_event_time`.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Runs at most `max_events` events; returns how many ran.
     pub fn run_steps(&mut self, world: &mut W, max_events: u64) -> u64 {
         let mut n = 0;

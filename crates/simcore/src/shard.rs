@@ -905,8 +905,8 @@ fn drain_segment_mut<W: ShardWorld>(
 fn gather_times<W: ShardWorld>(sites: &[Mutex<SiteRuntime<W>>], times: &mut [u64]) -> bool {
     let mut any = false;
     for (i, site) in sites.iter().enumerate() {
-        let mut rt = site.lock().expect("site lock poisoned");
-        times[i] = match rt.en.peek_next_time() {
+        let rt = site.lock().expect("site lock poisoned");
+        times[i] = match rt.en.next_event_time() {
             Some(t) => {
                 any = true;
                 t.as_nanos()
@@ -923,7 +923,7 @@ fn gather_times_mut<W: ShardWorld>(sites: &mut [Mutex<SiteRuntime<W>>], times: &
     let mut any = false;
     for (i, site) in sites.iter_mut().enumerate() {
         let rt = site.get_mut().expect("site lock poisoned");
-        times[i] = match rt.en.peek_next_time() {
+        times[i] = match rt.en.next_event_time() {
             Some(t) => {
                 any = true;
                 t.as_nanos()
@@ -987,7 +987,7 @@ fn compute_horizons<M>(
 /// the next drain's violation check stays exact.
 fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>) -> u64 {
     let h_cross = rt.horizon;
-    let Some(next) = rt.en.peek_next_time() else {
+    let Some(next) = rt.en.next_event_time() else {
         return 0;
     };
     if rt.state.echo_row.is_empty() {
@@ -1016,7 +1016,7 @@ fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>) -> u64 {
         // echo; the outbox was drained at the window boundary, so
         // only this window's own sends contribute.
         let bound = h_cross.min(rt.state.echo_min);
-        let Some(next) = rt.en.peek_next_time() else {
+        let Some(next) = rt.en.next_event_time() else {
             break bound;
         };
         let next_ns = next.as_nanos();

@@ -279,27 +279,6 @@ impl Histogram {
     }
 }
 
-/// Formats a labelled series of [`OnlineStats`] as the
-/// mean/std/min/max table rows the paper prints (Table 2 layout).
-pub fn format_stats_table(rows: &[(&str, &OnlineStats)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<38} {:>10} {:>10} {:>10} {:>10}\n",
-        "scenario", "mean", "std", "min", "max"
-    ));
-    for (label, s) in rows {
-        out.push_str(&format!(
-            "{:<38} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
-            label,
-            s.mean(),
-            s.std_dev(),
-            s.min(),
-            s.max()
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,14 +372,6 @@ mod tests {
         let q99 = h.quantile(0.99);
         assert!(q25 <= q50 && q50 <= q99);
         assert!((q50 - 50.0).abs() <= 2.0, "median {q50}");
-    }
-
-    #[test]
-    fn table_formatting_contains_rows() {
-        let s: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let txt = format_stats_table(&[("VM-restore / DiskFS", &s)]);
-        assert!(txt.contains("VM-restore / DiskFS"));
-        assert!(txt.contains("mean"));
     }
 }
 
