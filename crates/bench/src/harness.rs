@@ -5,8 +5,7 @@
 //! [`Scenario`]s, a `run_sample` that produces named measurements for
 //! one `(scenario, sample)` pair, and an optional epilogue. The
 //! framework owns everything else — seed derivation, fanning samples
-//! across OS threads through
-//! [`ReplicationRunner`](gridvm_simcore::replication::ReplicationRunner),
+//! across OS threads through [`ReplicationRunner`],
 //! per-scenario statistics, merged [`Metrics`] registries, the text
 //! table, and the `--json` trajectory file.
 //!

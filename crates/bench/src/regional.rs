@@ -93,8 +93,8 @@ impl ShardWorld for HandoffSite {
         );
     }
 
-    fn encode_msg(msg: HandoffMsg) -> Result<[u64; 2], HandoffMsg> {
-        Ok([msg.token, u64::from(msg.legs_left)])
+    fn encode_msg(msg: HandoffMsg) -> [u64; 2] {
+        [msg.token, u64::from(msg.legs_left)]
     }
 
     fn decode_msg(words: [u64; 2]) -> HandoffMsg {

@@ -28,7 +28,7 @@
 //!   computing environment while its virtual-file-system sessions
 //!   stay live (Section 3.1 "virtual machine migration").
 //! * [`recovery`] — the self-healing session life cycle: a
-//!   multi-host [`Cluster`](recovery::Cluster) driven under a seeded
+//!   multi-host [`Cluster`] driven under a seeded
 //!   [`FaultPlan`](gridvm_simcore::fault::FaultPlan), where a host
 //!   crash triggers suspend-from-checkpoint, transfer and resume on
 //!   a surviving host (Section 3.1 fault tolerance).

@@ -130,8 +130,8 @@ impl ShardWorld for VoSite {
         step([msg.session, u64::from(msg.steps_left)], site, en);
     }
 
-    fn encode_msg(msg: VoMsg) -> Result<[u64; 2], VoMsg> {
-        Ok([msg.session, u64::from(msg.steps_left)])
+    fn encode_msg(msg: VoMsg) -> [u64; 2] {
+        [msg.session, u64::from(msg.steps_left)]
     }
 
     fn decode_msg(words: [u64; 2]) -> VoMsg {
@@ -552,8 +552,8 @@ impl ShardWorld for VoScaleSite {
         scale_step([msg.meta, msg.start], site, en);
     }
 
-    fn encode_msg(msg: VoScaleMsg) -> Result<[u64; 2], VoScaleMsg> {
-        Ok([msg.meta, msg.start])
+    fn encode_msg(msg: VoScaleMsg) -> [u64; 2] {
+        [msg.meta, msg.start]
     }
 
     fn decode_msg(words: [u64; 2]) -> VoScaleMsg {

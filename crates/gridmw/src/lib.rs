@@ -15,8 +15,6 @@
 //!   authentication, job-manager hand-off and polling that frames
 //!   every Table 2 measurement ("wall-clock execution time from the
 //!   beginning to the end of the execution of globusrun").
-//! * [`ftp`] — GridFTP-style explicit transfers with control-channel
-//!   setup and parallel streams.
 //! * [`accounts`] — logical user accounts (PUNCH \[20\]): leases
 //!   decoupling grid identities from local accounts.
 //! * [`rps`] — an RPS-like resource predictor \[11\]: AR-model
@@ -31,7 +29,6 @@
 
 pub mod accounts;
 pub mod batch;
-pub mod ftp;
 pub mod gram;
 pub mod info;
 pub mod retry;

@@ -13,9 +13,9 @@
 //! parameter well above 0.5) — and provides the playback machinery to
 //! drive a simulated host with them.
 //!
-//! * [`trace`] — the [`LoadTrace`](trace::LoadTrace) sample container.
+//! * [`trace`] — the [`LoadTrace`] sample container.
 //! * [`generator`] — AR(1)-plus-Pareto-burst synthesis and the paper's
-//!   three [`LoadLevel`](generator::LoadLevel) presets.
+//!   three [`LoadLevel`] presets.
 //! * [`playback`] — turning a trace into per-quantum background CPU
 //!   demand.
 //! * [`analysis`] — autocorrelation and R/S Hurst estimation used by

@@ -319,8 +319,8 @@ impl<W> Engine<W> {
     /// the horizon set by [`run_until`](Engine::run_until)). Returns
     /// `true` if an event ran.
     pub fn step(&mut self, world: &mut W) -> bool {
-        // One fused queue operation: the horizon check and the pop
-        // share a single front-bucket activation.
+        // One fused queue operation: the horizon check reads the heap
+        // root that the pop then removes.
         let Some((time, _, ev)) = self.queue.pop_due(self.horizon) else {
             return false;
         };

@@ -15,7 +15,7 @@
 //! are bit-identical.
 //!
 //! For event-driven worlds, [`FaultPlan::schedule_into`] plants each
-//! event in an [`Engine`](crate::engine::Engine) queue; the world
+//! event in an [`Engine`] queue; the world
 //! applies it through the [`FaultSink`] trait.
 
 use crate::engine::Engine;

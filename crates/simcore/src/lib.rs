@@ -10,10 +10,9 @@
 //!
 //! * [`time`] — nanosecond-resolution virtual time ([`SimTime`],
 //!   [`SimDuration`]) as newtypes, never bare integers.
-//! * [`units`] — domain quantities: [`ByteSize`](units::ByteSize),
-//!   [`CpuWork`](units::CpuWork), [`Bandwidth`](units::Bandwidth),
-//!   [`Share`](units::Share).
-//! * [`rng`] — a seedable, splittable PRNG ([`SimRng`](rng::SimRng),
+//! * [`units`] — domain quantities: [`ByteSize`], [`CpuWork`],
+//!   [`Bandwidth`], [`Share`].
+//! * [`rng`] — a seedable, splittable PRNG ([`SimRng`],
 //!   xoshiro256++) plus the distributions the workload and load-trace
 //!   generators need.
 //! * [`event`] + [`engine`] — the event queue and executor. Events are
@@ -25,29 +24,29 @@
 //!   (deterministic tie-breaking) in an index-tracked 4-ary heap
 //!   with in-place cancellation.
 //! * [`fault`] — seeded, deterministic fault injection:
-//!   [`FaultPlan`](fault::FaultPlan) schedules typed faults
+//!   [`FaultPlan`] schedules typed faults
 //!   (host crash/slowdown, link partition/loss/latency, storage
 //!   errors, NFS timeouts) that every layer consults; a
-//!   [`FaultFeed`](fault::FaultFeed) guarantees each fault fires at
+//!   [`FaultFeed`] guarantees each fault fires at
 //!   most once.
 //! * [`stats`] — online statistics (Welford), histograms and series
 //!   summaries used by every experiment harness.
-//! * [`hist`] — streaming log-scale [`Histogram`](hist::Histogram)s
+//! * [`hist`] — streaming log-scale [`Histogram`]s
 //!   with integer-exact merge: constant memory per named series,
 //!   p50/p99/p999 extraction, bit-identical rollups at any
 //!   shard/thread count.
 //! * [`sample`] — deterministic sampling: the seeded
-//!   [`Reservoir`](sample::Reservoir) and the stratified per-category
+//!   [`Reservoir`] and the stratified per-category
 //!   keep decision behind sampled trace logs.
 //! * [`metrics`] — counter/gauge/timer registries recorded into a
 //!   thread-local per-replication context and merged across
 //!   replications; pre-resolved [`metrics::Counter`] handles keep
 //!   hot-loop increments off the string-keyed path.
 //! * [`lookahead`] — the all-pairs minimum-latency closure
-//!   ([`LookaheadMatrix`](lookahead::LookaheadMatrix)) behind the
+//!   ([`LookaheadMatrix`]) behind the
 //!   sharded synchronizer's per-(src,dst) window protocol.
 //! * [`lru`] — the shared O(1) intrusive LRU set
-//!   ([`LruSet`](lru::LruSet)) under the proxy and buffer-cache block
+//!   ([`LruSet`]) under the proxy and buffer-cache block
 //!   caches.
 //! * [`slot`] — the dense-index hot-state layer: a generation-stamped
 //!   slot arena ([`SlotMap`](slot::SlotMap)) with typed

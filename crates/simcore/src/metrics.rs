@@ -353,25 +353,6 @@ pub fn take() -> Metrics {
     m
 }
 
-/// Swaps this thread's context with `m` after folding pre-resolved
-/// [`Counter`] cells into the outgoing context — so all activity up
-/// to this call stays with the registry that was installed while it
-/// happened.
-///
-/// This is the allocation-free alternative to [`take`] + [`merge`]
-/// (Metrics::merge) for code that repeatedly runs work on behalf of
-/// different owners on one thread: the sharded synchronizer swaps
-/// each site's accumulated registry in before executing its window
-/// and back out after, a pair of pointer-sized moves per window
-/// instead of a `BTreeMap` rebuild.
-pub fn swap(m: &mut Metrics) {
-    CONTEXT.with(|c| {
-        let mut ctx = c.borrow_mut();
-        drain_fast(&mut ctx);
-        std::mem::swap(&mut *ctx, m);
-    });
-}
-
 /// Harvests this thread's metrics activity since the last harvest
 /// directly into `m`: pre-resolved [`Counter`] cells fold straight in,
 /// and any slow-path context activity (string-keyed counters, gauges,
@@ -382,9 +363,9 @@ pub fn swap(m: &mut Metrics) {
 /// context is empty when the owner's activity begins. The sharded
 /// synchronizer qualifies: its run saves the ambient context up
 /// front, so between harvests the context only ever holds the current
-/// owner's slow-path spillover. Callers without that guarantee want
-/// [`swap`], which keeps the owner's registry installed while its
-/// work runs.
+/// owner's slow-path spillover. Callers without that guarantee
+/// [`take`] the ambient context first and [`merge_current`] it back
+/// after.
 pub fn harvest_into(m: &mut Metrics) {
     drain_fast(m);
     spill_context_into(m);
@@ -445,15 +426,6 @@ pub fn spill_context_into(m: &mut Metrics) {
             *ctx = Metrics::new();
         }
     });
-}
-
-/// Runs `f` with a read view of this thread's context, including any
-/// pre-resolved [`Counter`] activity.
-pub fn with_current<R>(f: impl FnOnce(&Metrics) -> R) -> R {
-    CONTEXT.with(|c| {
-        drain_fast(&mut c.borrow_mut());
-        f(&c.borrow())
-    })
 }
 
 /// Folds a harvested registry back into this thread's context — the
@@ -556,12 +528,11 @@ mod tests {
         counter_add("ctx.count", 7);
         gauge_set("ctx.gauge", 2.5);
         timer_record("ctx.timer", 0.5);
-        with_current(|m| assert_eq!(m.counter("ctx.count"), 7));
         let m = take();
         assert_eq!(m.counter("ctx.count"), 7);
         assert_eq!(m.gauge("ctx.gauge").map(|g| g.count()), Some(1));
         // The context is now empty again.
-        with_current(|m| assert!(m.is_empty()));
+        assert!(take().is_empty());
     }
 
     #[test]
@@ -573,10 +544,9 @@ mod tests {
         // Mixing the slow path under the same name accumulates into
         // one named counter.
         counter_add("handle.count", 2);
-        with_current(|m| assert_eq!(m.counter("handle.count"), 7));
         let m = take();
         assert_eq!(m.counter("handle.count"), 7);
-        with_current(|m| assert!(m.is_empty(), "take drained the fast cells"));
+        assert!(take().is_empty(), "take drained the fast cells");
         assert_eq!(HANDLE.name(), "handle.count");
     }
 
@@ -604,7 +574,7 @@ mod tests {
         reset();
         counter_add("mc.count", 2);
         let snapshot = take();
-        with_current(|m| assert!(m.is_empty()));
+        assert!(take().is_empty());
         merge_current(&snapshot);
         counter_add("mc.count", 1);
         assert_eq!(take().counter("mc.count"), 3);

@@ -12,7 +12,7 @@
 //!   it up;
 //! * results are returned in replication-index order;
 //! * each replication runs against a fresh thread-local
-//!   [`metrics`](crate::metrics) context, and the per-replication
+//!   [`metrics`] context, and the per-replication
 //!   registries are merged in index order, so merged metrics are also
 //!   independent of scheduling.
 //!

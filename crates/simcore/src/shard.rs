@@ -14,7 +14,7 @@
 //!
 //! ## The window protocol
 //!
-//! A [`ShardedSim`] owns one [`SiteRuntime`] per site — its own
+//! A [`ShardedSim`] owns one runtime per site — its own
 //! [`Engine`] (event queue), world state, [`TraceLog`] segment,
 //! [`Metrics`] registry and (by caller convention) seeded RNG stream.
 //! `run` repeats:
@@ -72,14 +72,14 @@
 //!
 //! ## Allocation-free delivery
 //!
-//! Delivery schedules each message through the engine's 32-byte
-//! inline event machinery when the world's
-//! [`encode_msg`](ShardWorld::encode_msg) packs it into two machine
-//! words ([`Event::Arg2`](crate::engine::Event)); only messages that
-//! decline encoding fall back to a boxed closure, counted by
-//! `sim.events_boxed`. Together with the double-buffered outboxes
-//! (reallocations counted by `shard.outbox_regrown`), steady-state
-//! mailbox traffic makes zero allocator calls.
+//! Delivery schedules every message through the engine's 32-byte
+//! inline event machinery: each world's
+//! [`encode_msg`](ShardWorld::encode_msg) packs its message into two
+//! machine words ([`Event::Arg2`](crate::engine::Event)), and
+//! [`decode_msg`](ShardWorld::decode_msg) unpacks them at arrival.
+//! Together with the double-buffered outboxes (reallocations counted
+//! by `shard.outbox_regrown`), steady-state mailbox traffic makes zero
+//! allocator calls.
 //!
 //! The cross-thread primitives this module uses (`Mutex`, `Barrier`,
 //! atomics) are sanctioned *here only* — the `sync-primitive` audit
@@ -100,7 +100,7 @@
 //!     }
 //!     // Pack the payload into the inline event words: delivery
 //!     // never touches the allocator.
-//!     fn encode_msg(msg: u64) -> Result<[u64; 2], u64> { Ok([msg, 0]) }
+//!     fn encode_msg(msg: u64) -> [u64; 2] { [msg, 0] }
 //!     fn decode_msg(words: [u64; 2]) -> u64 { words[0] }
 //! }
 //!
@@ -172,30 +172,20 @@ pub trait ShardWorld: Send + Sized + 'static {
     fn deliver(msg: Self::Msg, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>);
 
     /// Packs a message into two inline event words so the mailbox
-    /// drain can deliver it allocation-free through
-    /// [`Event::Arg2`](crate::engine::Event); return `Err(msg)` to
-    /// decline (the default), falling back to a boxed closure counted
-    /// by `sim.events_boxed`. Implementations must round-trip:
-    /// `decode_msg(encode_msg(m)?) == m`.
-    fn encode_msg(msg: Self::Msg) -> Result<[u64; 2], Self::Msg> {
-        Err(msg)
-    }
+    /// drain delivers it allocation-free through
+    /// [`Event::Arg2`](crate::engine::Event). Implementations must
+    /// round-trip: `decode_msg(encode_msg(m)) == m`.
+    fn encode_msg(msg: Self::Msg) -> [u64; 2];
 
-    /// Reverses [`encode_msg`](Self::encode_msg). Only called with
-    /// words that `encode_msg` returned `Ok`; the default is
-    /// unreachable because the default `encode_msg` never does.
-    fn decode_msg(words: [u64; 2]) -> Self::Msg {
-        let _ = words;
-        unreachable!("decode_msg called on a world whose encode_msg never returns Ok")
-    }
+    /// Reverses [`encode_msg`](Self::encode_msg) at arrival.
+    fn decode_msg(words: [u64; 2]) -> Self::Msg;
 
     /// Called once per site when the run completes, before the site's
     /// metrics are folded into the caller's context. Worlds that tally
     /// per-event statistics can keep them in plain fields — one
     /// integer add per event — and publish them here through
-    /// [`Counter`](crate::metrics::Counter) handles, instead of paying
-    /// a thread-local counter add on every event. The default
-    /// publishes nothing.
+    /// [`Counter`] handles, instead of paying a thread-local counter
+    /// add on every event. The default publishes nothing.
     fn flush_metrics(&mut self) {}
 }
 
@@ -804,17 +794,8 @@ fn deliver_batch<W: ShardWorld>(
              least one lookahead (the minimum link latency) in the future",
             SimTime::from_nanos(safe)
         );
-        match W::encode_msg(msg) {
-            Ok(words) => {
-                rt.en.schedule_arg2_at(at, words, deliver_inline::<W>);
-            }
-            Err(msg) => {
-                rt.en
-                    .schedule_at(at, move |state: &mut SiteState<W>, en: &mut Engine<_>| {
-                        W::deliver(msg, state, en);
-                    });
-            }
-        }
+        rt.en
+            .schedule_arg2_at(at, W::encode_msg(msg), deliver_inline::<W>);
     }
     delivered
 }
@@ -1059,6 +1040,18 @@ mod tests {
 
     const LAT: SimDuration = SimDuration::from_millis(5);
 
+    /// A world whose sites exchange nothing but unit messages, for the
+    /// protocol's edge cases.
+    struct Idle;
+    impl ShardWorld for Idle {
+        type Msg = ();
+        fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
+        fn encode_msg(_: ()) -> [u64; 2] {
+            [0, 0]
+        }
+        fn decode_msg(_: [u64; 2]) {}
+    }
+
     struct PingWorld {
         rng: SimRng,
         peers: u32,
@@ -1073,8 +1066,8 @@ mod tests {
             site.trace
                 .record(en.now(), "ping", format!("got token {msg}"));
         }
-        fn encode_msg(msg: u64) -> Result<[u64; 2], u64> {
-            Ok([msg, 0])
+        fn encode_msg(msg: u64) -> [u64; 2] {
+            [msg, 0]
         }
         fn decode_msg(words: [u64; 2]) -> u64 {
             words[0]
@@ -1209,8 +1202,8 @@ mod tests {
         impl ShardWorld for Chatty {
             type Msg = u64;
             fn deliver(_: u64, _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-            fn encode_msg(msg: u64) -> Result<[u64; 2], u64> {
-                Ok([msg, 0])
+            fn encode_msg(msg: u64) -> [u64; 2] {
+                [msg, 0]
             }
             fn decode_msg(words: [u64; 2]) -> u64 {
                 words[0]
@@ -1232,37 +1225,6 @@ mod tests {
         assert!(
             m.counter("shard.outbox_regrown") > 0,
             "a 1-slot hint must regrow under an 8-message burst"
-        );
-    }
-
-    #[test]
-    fn unencodable_messages_fall_back_to_boxed_delivery() {
-        struct BigMsg;
-        impl ShardWorld for BigMsg {
-            type Msg = Vec<u64>;
-            fn deliver(msg: Vec<u64>, site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
-                site.trace.record(
-                    SimTime::ZERO,
-                    "big",
-                    format!("sum {}", msg.iter().sum::<u64>()),
-                );
-            }
-        }
-        let mut sim = ShardedSim::new(LAT, [BigMsg, BigMsg]);
-        sim.with_site(0, |_, en| {
-            en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<BigMsg>, en| {
-                site.send(SiteId(1), en.now() + LAT, vec![1, 2, 3]);
-            });
-        });
-        metrics::reset();
-        sim.run();
-        metrics::reset();
-        let m = sim.merged_metrics();
-        assert_eq!(m.counter("shard.messages"), 1);
-        assert_eq!(
-            m.counter("sim.events_boxed"),
-            1,
-            "the default encode_msg declines, so delivery boxes"
         );
     }
 
@@ -1329,18 +1291,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookahead violation")]
     fn sends_below_the_lookahead_panic() {
-        struct Hasty;
-        impl ShardWorld for Hasty {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
-        let mut sim = ShardedSim::new(LAT, [Hasty, Hasty]);
+        let mut sim = ShardedSim::new(LAT, [Idle, Idle]);
         sim.with_site(0, |_, en| {
             // Two windows of local work so the second send's timestamp
             // lands inside an already-executed window.
-            en.schedule_at(SimTime::ZERO, |site: &mut SiteState<Hasty>, en| {
+            en.schedule_at(SimTime::ZERO, |site: &mut SiteState<Idle>, en| {
                 site.send(SiteId(1), en.now(), ());
-                en.schedule_in(LAT + LAT, |site: &mut SiteState<Hasty>, en| {
+                en.schedule_in(LAT + LAT, |site: &mut SiteState<Idle>, en| {
                     site.send(SiteId(1), en.now() - LAT, ());
                 });
             });
@@ -1351,14 +1308,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-send")]
     fn self_sends_panic() {
-        struct Selfish;
-        impl ShardWorld for Selfish {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
-        let mut sim = ShardedSim::new(LAT, [Selfish]);
+        let mut sim = ShardedSim::new(LAT, [Idle]);
         sim.with_site(0, |_, en| {
-            en.schedule_at(SimTime::ZERO, |site: &mut SiteState<Selfish>, en| {
+            en.schedule_at(SimTime::ZERO, |site: &mut SiteState<Idle>, en| {
                 site.send(SiteId(0), en.now() + LAT, ());
             });
         });
@@ -1368,33 +1320,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "safe-advance window")]
     fn zero_lookahead_is_rejected() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
         let _ = ShardedSim::new(SimDuration::ZERO, [Idle]);
     }
 
     #[test]
     #[should_panic(expected = "different site count")]
     fn mismatched_matrix_is_rejected() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
         let _ = ShardedSim::new(LAT, [Idle, Idle]).per_pair_lookahead(uniform_matrix(3));
     }
 
     #[test]
     #[should_panic(expected = "single-shot")]
     fn running_twice_panics() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
         let mut sim = ShardedSim::new(LAT, [Idle]);
         sim.run();
         sim.run();
@@ -1402,11 +1339,6 @@ mod tests {
 
     #[test]
     fn empty_and_idle_worlds_terminate() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
         let mut none: ShardedSim<Idle> = ShardedSim::new(LAT, []);
         none.run();
         assert_eq!(none.windows(), 0);
@@ -1451,8 +1383,8 @@ mod tests {
             fn deliver(msg: u64, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
                 burst([msg, 19], site, en);
             }
-            fn encode_msg(msg: u64) -> Result<[u64; 2], u64> {
-                Ok([msg, 0])
+            fn encode_msg(msg: u64) -> [u64; 2] {
+                [msg, 0]
             }
             fn decode_msg(words: [u64; 2]) -> u64 {
                 words[0]

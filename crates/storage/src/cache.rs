@@ -8,7 +8,7 @@
 //! cache influences.
 //!
 //! Recency bookkeeping is the shared O(1) intrusive
-//! [`LruSet`](gridvm_simcore::lru::LruSet); this type adds hit/miss
+//! [`LruSet`]; this type adds hit/miss
 //! accounting on top.
 
 use gridvm_simcore::lru::LruSet;

@@ -20,10 +20,6 @@
 //!   on demand or whole images for staging (Section 3.1 "image
 //!   management").
 //!
-//! [`tape`] adds the end of the life cycle: idle images tier down to
-//! a tape library and pay a recall before re-use ("infrequently run
-//! virtual machine images will be migrated to tape").
-//!
 //! Data is held sparsely: unwritten blocks have deterministic
 //! synthetic content, so a 2 GB disk costs memory proportional to the
 //! blocks actually written.
@@ -38,7 +34,6 @@ pub mod disk;
 pub mod image;
 pub mod imageserver;
 pub mod staging;
-pub mod tape;
 
 pub use block::{BlockAddr, BlockStore, MemBlockStore, StorageError};
 pub use cache::BufferCache;
@@ -46,4 +41,3 @@ pub use cow::CowOverlay;
 pub use disk::{DiskModel, DiskProfile};
 pub use image::{ImageCatalog, VmImage};
 pub use imageserver::ImageServer;
-pub use tape::{ImageArchive, TapeProfile};

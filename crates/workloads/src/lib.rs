@@ -12,14 +12,14 @@
 //!
 //! Calibration targets come straight from Table 1 (user and system
 //! seconds on the paper's 933 MHz Pentium III) — see
-//! [`spec::specseis`] and [`spec::specclimate`].
+//! [`spec::specseis`] and [`spec::specclimate`]. Figure 1's test task
+//! is pure CPU work with no profile to calibrate, so `fig1_micro`
+//! builds it directly as a `gridvm_host::task::TaskSpec::compute`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod profile;
 pub mod spec;
-pub mod synthetic;
 
 pub use profile::{AppProfile, IoPattern};
-pub use synthetic::micro_test_task;

@@ -18,8 +18,8 @@
 //! | [`storage`] | `gridvm-storage` | block stores, COW, images, staging |
 //! | [`vfs`] | `gridvm-vfs` | grid virtual file system (PVFS) |
 //! | [`vnet`] | `gridvm-vnet` | DHCP, tunnels, VPN, overlays |
-//! | [`gridmw`] | `gridvm-gridmw` | information service, GRAM, GridFTP, RPS |
-//! | [`workloads`] | `gridvm-workloads` | SPEChpc profiles & synthetic tasks |
+//! | [`gridmw`] | `gridvm-gridmw` | information service, GRAM, RPS |
+//! | [`workloads`] | `gridvm-workloads` | SPEChpc application profiles |
 //! | [`core`] | `gridvm-core` | the VM-grid architecture itself |
 //!
 //! ## Quickstart

@@ -10,9 +10,12 @@
 //! packing, with strictly fewer barrier windows wherever the topology
 //! has latency spread.
 
-use gridvm::core::multisite::{build_vo, build_vo_scale, VoConfig, VoScaleConfig};
+use gridvm::core::multisite::{
+    build_vo, build_vo_scale, VoConfig, VoMsg, VoScaleConfig, VoScaleMsg, VoScaleSite, VoSite,
+};
 use gridvm::simcore::metrics::{self, Metrics};
-use gridvm_bench::regional::{build_handoff, HandoffConfig};
+use gridvm::simcore::shard::ShardWorld;
+use gridvm_bench::regional::{build_handoff, HandoffConfig, HandoffMsg, HandoffSite};
 use proptest::prelude::*;
 
 /// Everything two runs must agree on when they claim "same history",
@@ -257,5 +260,22 @@ proptest! {
                 prop_assert_eq!(windows, global_windows);
             }
         }
+    }
+
+    /// Inline encoding is the mailbox's only delivery path, so every
+    /// production world's message must survive the trip through the
+    /// two event words unchanged, over each field's full range.
+    #[test]
+    fn production_messages_round_trip_through_the_inline_words(
+        a in 0u64..=u64::MAX,
+        b in 0u64..=u64::MAX,
+        narrow in 0u32..=u32::MAX,
+    ) {
+        let vo = VoMsg { session: a, steps_left: narrow };
+        prop_assert_eq!(VoSite::decode_msg(VoSite::encode_msg(vo)), vo);
+        let scale = VoScaleMsg { meta: a, start: b };
+        prop_assert_eq!(VoScaleSite::decode_msg(VoScaleSite::encode_msg(scale)), scale);
+        let handoff = HandoffMsg { token: a, legs_left: narrow };
+        prop_assert_eq!(HandoffSite::decode_msg(HandoffSite::encode_msg(handoff)), handoff);
     }
 }
