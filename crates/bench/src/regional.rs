@@ -8,13 +8,13 @@
 //! any instant one site per region is active and the rest are silent.
 //! That is exactly the shape wide-area VOs exhibit (compute bursts
 //! punctuated by transfers) and exactly where the per-(src,dst)
-//! lookahead protocol earns its keep: a global-lookahead synchronizer
-//! barriers every `min link latency` (5 ms metro), while per-pair
-//! horizons let each active site run to the nearest *other region* —
-//! 20–45 ms of WAN away — cutting `shard.windows` several-fold at a
-//! bit-identical history. Both protocols are driven from the same
-//! build so the bench can assert digest equality while comparing
-//! barrier counts.
+//! lookahead matrix earns its keep: the uniform reference
+//! ([`ShardedSim::uniform_lookahead`]) barriers every `min link
+//! latency` (5 ms metro), while the topology's per-pair horizons let
+//! each active site run to the nearest *other region* — 20–45 ms of
+//! WAN away — cutting `shard.windows` several-fold at a bit-identical
+//! history. Both schedules run from the same build, so the bench can
+//! assert digest equality while comparing barrier counts.
 
 use gridvm_simcore::engine::{Engine, Event};
 use gridvm_simcore::metrics::Counter;
@@ -39,22 +39,19 @@ pub struct HandoffConfig {
     pub step_gap: SimDuration,
     /// Handoffs each token performs before retiring.
     pub legs: u32,
-    /// Drive the synchronizer from the per-(src,dst) lookahead matrix
-    /// instead of the global minimum link latency.
-    pub per_pair_lookahead: bool,
 }
 
 impl HandoffConfig {
     /// The reference shape: 6 regions, 24-step bursts at 1 ms, 64
-    /// legs — bursts span ~24 ms against a 5 ms global lookahead, so
-    /// the per-pair protocol has several windows per burst to merge.
+    /// legs — bursts span ~24 ms against the 5 ms minimum link
+    /// latency, so the per-pair horizons have several of the uniform
+    /// reference's windows per burst to merge.
     pub fn reference() -> Self {
         HandoffConfig {
             regions: 6,
             burst_steps: 24,
             step_gap: SimDuration::from_millis(1),
             legs: 64,
-            per_pair_lookahead: true,
         }
     }
 }
@@ -148,8 +145,9 @@ fn burst(
 /// token per region starting its first burst at a per-region stagger,
 /// handing off between the region's two metro sites until its legs
 /// run out. Configure shards/threads on the returned sim and run it;
-/// compare `windows()` across the two protocol settings at equal
-/// trace digests and checksums.
+/// compare `windows()` against the same build's
+/// [`uniform_lookahead`](ShardedSim::uniform_lookahead) reference at
+/// equal trace digests and checksums.
 ///
 /// # Panics
 ///
@@ -158,9 +156,8 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
     assert!(cfg.regions > 0, "a handoff world needs at least one region");
     let topo = SiteTopology::regional_vo(cfg.regions, 2);
     let n = topo.sites() as u32;
-    let lookahead = topo.lookahead().expect("regional_vo meshes");
     let mut sim = ShardedSim::new(
-        lookahead,
+        topo.lookahead_matrix(),
         (0..n).map(|i| {
             let partner = SiteId(i ^ 1);
             HandoffSite {
@@ -173,15 +170,12 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
             }
         }),
     );
-    if cfg.per_pair_lookahead {
-        sim = sim.per_pair_lookahead(topo.lookahead_matrix());
-    }
     sim = sim.outbox_capacity(4);
     for r in 0..cfg.regions {
         sim.with_site((2 * r) as usize, |site, en| {
             let steps = u64::from(site.world.burst_steps);
             // Stagger region starts so same-instant pileups don't mask
-            // ordering differences between the protocols.
+            // ordering differences between the schedules.
             let start = SimTime::ZERO + SimDuration::from_micros(137 * u64::from(r));
             en.schedule_event_at(
                 start,
@@ -197,8 +191,16 @@ mod tests {
     use super::*;
     use gridvm_simcore::metrics;
 
-    fn run(cfg: &HandoffConfig, shards: usize, threads: usize) -> (u64, Vec<u64>, u64, u64, u64) {
+    fn run(
+        cfg: &HandoffConfig,
+        uniform: bool,
+        shards: usize,
+        threads: usize,
+    ) -> (u64, Vec<u64>, u64, u64, u64) {
         let mut sim = build_handoff(cfg).shards(shards).threads(threads);
+        if uniform {
+            sim = sim.uniform_lookahead();
+        }
         metrics::reset();
         sim.run();
         metrics::reset();
@@ -221,20 +223,16 @@ mod tests {
             legs: 12,
             ..HandoffConfig::reference()
         };
-        let global = HandoffConfig {
-            per_pair_lookahead: false,
-            ..cfg
-        };
-        let (digest, checksums, messages, paired_windows, boxed) = run(&cfg, 4, 2);
-        let (gdigest, gchecksums, gmessages, global_windows, gboxed) = run(&global, 4, 2);
-        assert_eq!(digest, gdigest, "protocols diverged");
-        assert_eq!(checksums, gchecksums);
-        assert_eq!(messages, gmessages);
+        let (digest, checksums, messages, paired_windows, boxed) = run(&cfg, false, 4, 2);
+        let (udigest, uchecksums, umessages, uniform_windows, uboxed) = run(&cfg, true, 4, 2);
+        assert_eq!(digest, udigest, "schedules diverged");
+        assert_eq!(checksums, uchecksums);
+        assert_eq!(messages, umessages);
         assert_eq!(messages, u64::from(cfg.regions) * u64::from(cfg.legs));
-        assert_eq!((boxed, gboxed), (0, 0), "handoffs must ride inline");
+        assert_eq!((boxed, uboxed), (0, 0), "handoffs must ride inline");
         assert!(
-            paired_windows * 3 <= global_windows,
-            "expected >= 3x fewer windows, got {paired_windows} vs {global_windows}"
+            paired_windows * 3 <= uniform_windows,
+            "expected >= 3x fewer windows, got {paired_windows} vs {uniform_windows}"
         );
     }
 
@@ -244,9 +242,9 @@ mod tests {
             legs: 8,
             ..HandoffConfig::reference()
         };
-        let want = run(&cfg, 1, 1);
+        let want = run(&cfg, false, 1, 1);
         for (shards, threads) in [(2, 1), (4, 4), (12, 3)] {
-            assert_eq!(run(&cfg, shards, threads), want, "shards={shards}");
+            assert_eq!(run(&cfg, false, shards, threads), want, "shards={shards}");
         }
     }
 }

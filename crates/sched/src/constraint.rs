@@ -204,6 +204,8 @@ impl fmt::Display for Token {
 fn lex(src: &str) -> Result<Vec<Token>, PolicyError> {
     let mut out = Vec::new();
     let bytes: Vec<char> = src.chars().collect();
+    // Errors report byte offsets into `src`; `i` indexes chars.
+    let byte_offset = |i: usize| bytes[..i].iter().map(|c| c.len_utf8()).sum::<usize>();
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
@@ -224,7 +226,7 @@ fn lex(src: &str) -> Result<Vec<Token>, PolicyError> {
             }
             if j == bytes.len() {
                 return Err(PolicyError::Lex {
-                    offset: i,
+                    offset: byte_offset(i),
                     found: '"',
                 });
             }
@@ -246,18 +248,32 @@ fn lex(src: &str) -> Result<Vec<Token>, PolicyError> {
                 suffix.push(bytes[i]);
                 i += 1;
             }
-            match suffix.as_str() {
-                "" => out.push(Token::Number(value)),
-                "us" => out.push(Token::Duration(SimDuration::from_secs_f64(value / 1e6))),
-                "ms" => out.push(Token::Duration(SimDuration::from_secs_f64(value / 1e3))),
-                "s" => out.push(Token::Duration(SimDuration::from_secs_f64(value))),
+            let per_sec = match suffix.as_str() {
+                "" => {
+                    out.push(Token::Number(value));
+                    continue;
+                }
+                "us" => 1e6,
+                "ms" => 1e3,
+                "s" => 1.0,
                 other => {
                     return Err(PolicyError::Parse {
                         expected: "duration unit (us/ms/s)",
                         found: other.to_owned(),
                     })
                 }
+            };
+            let secs = value / per_sec;
+            // A duration must be a finite span that fits the
+            // nanosecond clock; anything else is out of range, not a
+            // reason to panic.
+            if !secs.is_finite() || secs * 1e9 > u64::MAX as f64 {
+                return Err(PolicyError::Range {
+                    what: "duration",
+                    value: format!("{num}{suffix}"),
+                });
             }
+            out.push(Token::Duration(SimDuration::from_secs_f64(secs)));
         } else if c.is_ascii_alphabetic() || c == '_' || c == '-' {
             let start = i;
             while i < bytes.len()
@@ -268,7 +284,7 @@ fn lex(src: &str) -> Result<Vec<Token>, PolicyError> {
             out.push(Token::Ident(bytes[start..i].iter().collect()));
         } else {
             return Err(PolicyError::Lex {
-                offset: i,
+                offset: byte_offset(i),
                 found: c,
             });
         }
@@ -485,6 +501,7 @@ pub fn compile(src: &str) -> Result<CompiledPolicy, PolicyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_full_policy() {
@@ -634,6 +651,112 @@ mod tests {
                 assert_eq!(r.slice, SimDuration::from_millis(500));
             }
             ref g => panic!("unexpected grant {g:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_durations_are_out_of_range() {
+        // 1e11 s overflows the nanosecond clock; 300 digits parse to
+        // an infinite f64. Neither may reach `SimDuration`'s panics.
+        let huge = format!("vm a realtime period 1s slice {}us;", "9".repeat(300));
+        for src in ["vm a realtime period 99999999999s slice 1ms;", &huge] {
+            assert!(
+                matches!(
+                    compile(src),
+                    Err(PolicyError::Range {
+                        what: "duration",
+                        ..
+                    })
+                ),
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
+    fn lex_errors_report_byte_offsets() {
+        // 'é' is two bytes: the '@' is char 18 but byte 19.
+        let src = r#"vm "é" tickets 1; @"#;
+        assert_eq!(
+            compile(src),
+            Err(PolicyError::Lex {
+                offset: 19,
+                found: '@'
+            })
+        );
+        assert_eq!(&src[19..], "@");
+    }
+
+    const KEYWORDS: [&str; 10] = [
+        "host", "cores", "owner", "reserve", "vm", "tickets", "share", "realtime", "period",
+        "slice",
+    ];
+
+    /// Renders one token-soup element: `kind` picks the shape, `a`
+    /// its value and `c` an arbitrary char.
+    fn soup_token(kind: u32, a: u64, c: u32) -> String {
+        let unit = ["us", "ms", "s"][(a % 3) as usize];
+        match kind {
+            0..=9 => KEYWORDS[kind as usize].to_owned(),
+            10 => (a % 2000).to_string(),
+            11 => format!("{}.{}", a % 3, a % 1000),
+            12 => "9".repeat(15 + (a % 320) as usize),
+            13 => format!("{}{unit}", a % 200_000),
+            14 => format!("{}{unit}", "7".repeat(10 + (a % 320) as usize)),
+            15 => format!("\"vm{}\"", a % 6),
+            16 => ";".to_owned(),
+            17 => format!("# note {a}\n"),
+            18 => char::from_u32(c % 0x11_0000).unwrap_or('?').to_string(),
+            // Whole statements, so admissible policies turn up too.
+            19 => format!("host cores {};", a % 6),
+            20 => format!("owner reserve 0.{};", a % 10),
+            21 => format!("vm v{} share 0.{};", a % 1000, a % 100),
+            22 => format!("vm v{} tickets {};", a % 1000, a % 5000),
+            _ => format!(
+                "vm v{} realtime period {}ms slice {}ms;",
+                a % 1000,
+                a % 200,
+                (a >> 8) % 60
+            ),
+        }
+    }
+
+    proptest! {
+        /// `compile` never panics on any token soup, every lexical
+        /// error points at its character's byte offset, and every
+        /// policy it accepts passes its own admission bound. Half the
+        /// soups hold whole statements only, so accepted policies are
+        /// common rather than rare.
+        #[test]
+        fn compile_never_panics_and_accepted_policies_fit(
+            soup in collection::vec((0u32..24, 0u64..u64::MAX, 0u32..0x11_0000), 0..16),
+            statements_only in ANY,
+        ) {
+            let src: Vec<String> = soup
+                .iter()
+                .map(|&(k, a, c)| soup_token(if statements_only { 19 + k % 5 } else { k }, a, c))
+                .collect();
+            let src = src.join(" ");
+            match compile(&src) {
+                Ok(p) => {
+                    let cores = p.cores as f64;
+                    let demanded = p.owner_reserve.as_f64() * cores
+                        + p.vms
+                            .iter()
+                            .map(|v| match v.grant {
+                                Grant::Realtime(r) => r.utilization(),
+                                Grant::Fraction(f) => f * cores,
+                                Grant::Tickets(_) => 0.0,
+                            })
+                            .sum::<f64>();
+                    prop_assert!(demanded <= cores + 1e-9, "{src}: demands {demanded}");
+                    let _ = (p.vm_params(), p.owner_params());
+                }
+                Err(PolicyError::Lex { offset, found }) => {
+                    prop_assert!(src[offset..].starts_with(found), "{src}: offset {offset}");
+                }
+                Err(_) => {}
+            }
         }
     }
 

@@ -1,15 +1,19 @@
 //! Per-(src,dst) lookahead for the conservative synchronizer: the
 //! all-pairs minimum-latency closure of a site topology.
 //!
-//! The global-lookahead protocol in [`crate::shard`] collapses a whole
-//! topology to one number — the minimum inter-site link latency — and
-//! bounds *every* site's window by it. That throws away exactly the
-//! structure a wide-area virtual organization has: a message from a
-//! site 40 ms away cannot affect you for 40 ms, no matter how close
-//! your metro neighbors are. A [`LookaheadMatrix`] keeps the full
-//! per-pair bound: entry `(s, d)` is the minimum latency over every
-//! path from `s` to `d`, so no interaction originating at `s` —
-//! direct or relayed — can reach `d` sooner.
+//! Collapsing a whole topology to one number — the minimum inter-site
+//! link latency — and bounding *every* site's window by it throws away
+//! exactly the structure a wide-area virtual organization has: a
+//! message from a site 40 ms away cannot affect you for 40 ms, no
+//! matter how close your metro neighbors are. A [`LookaheadMatrix`]
+//! keeps the full per-pair bound: entry `(s, d)` is the minimum latency
+//! over every path from `s` to `d`, so no interaction originating at
+//! `s` — direct or relayed — can reach `d` sooner. It is the only way
+//! to configure [`crate::shard`]'s synchronizer; a uniform matrix at
+//! the minimum entry ([`ShardedSim::uniform_lookahead`]) is the
+//! single-number schedule as a special case.
+//!
+//! [`ShardedSim::uniform_lookahead`]: crate::shard::ShardedSim::uniform_lookahead
 //!
 //! Two derived quantities make the per-site window protocol sound
 //! (see `DESIGN.md` §15 for the full safety argument):
@@ -35,8 +39,8 @@ const UNREACHABLE: u64 = u64::MAX;
 ///
 /// Construct with [`LookaheadMatrix::shortest_paths`] over the
 /// topology's direct link latencies (see
-/// `SiteTopology::lookahead_matrix` in `gridvm-vnet`), then install on
-/// a sim with `ShardedSim::per_pair_lookahead`.
+/// `SiteTopology::lookahead_matrix` in `gridvm-vnet`), then hand it to
+/// [`ShardedSim::new`](crate::shard::ShardedSim::new).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LookaheadMatrix {
     n: usize,
@@ -58,8 +62,7 @@ impl LookaheadMatrix {
     /// # Panics
     ///
     /// Panics on a zero-latency direct link: a zero-cost path would
-    /// collapse the conservative synchronizer's safe-advance window,
-    /// exactly like a zero global lookahead.
+    /// collapse the conservative synchronizer's safe-advance window.
     pub fn shortest_paths(
         n: usize,
         direct: impl Fn(SiteId, SiteId) -> Option<SimDuration>,
@@ -142,9 +145,9 @@ impl LookaheadMatrix {
         self.rt[site]
     }
 
-    /// The minimum off-diagonal entry — the matrix's global lookahead,
-    /// equal to `SiteTopology::lookahead()` for the same topology.
-    /// `None` when no pair is connected.
+    /// The minimum off-diagonal entry — the smallest latency of any
+    /// link in the topology, since every path is at least as long as
+    /// its cheapest link. `None` when no pair is connected.
     pub fn min_lookahead(&self) -> Option<SimDuration> {
         (0..self.n)
             .flat_map(|a| (0..self.n).map(move |b| (a, b)))

@@ -30,34 +30,32 @@
 //!    *lookahead violation* and panics — it could only exist if a
 //!    caller sent "faster than light", i.e. below the declared
 //!    minimum link latency.
-//! 2. **Compute horizons.** Under the default *global* lookahead, all
-//!    sites share `t_min + lookahead` (`t_min` the global earliest
-//!    pending event; `lookahead` the minimum link latency anywhere).
-//!    With a [`LookaheadMatrix`] installed
-//!    ([`ShardedSim::per_pair_lookahead`]), each site gets its own
-//!    horizon `min over active sources s of (t_s + lookahead(s→i))` —
-//!    on topologies mixing metro and WAN latencies, per-site horizons
-//!    are far wider than the global minimum, cutting barrier windows
-//!    by multiples.
+//! 2. **Gather** every site's earliest pending event time `t_s`. Each
+//!    site's horizon follows from those times and the topology's
+//!    per-(src,dst) [`LookaheadMatrix`]:
+//!    `min over active sources s of (t_s + lookahead(s→i))`. On
+//!    topologies mixing metro and WAN latencies, per-site horizons
+//!    are far wider than the minimum link latency anywhere, cutting
+//!    barrier windows by multiples.
 //! 3. **Execute the window**: each site runs every local event
-//!    strictly before its horizon ([`Engine::run_before`]). Under
-//!    per-pair lookahead a site additionally self-limits against its
-//!    *own* sends: execution proceeds in chunks never more than the
-//!    site's minimum round trip past its next event, and each queued
-//!    outgoing message caps the window at `arrival +
-//!    lookahead(dst→site)` — the earliest instant that send could
-//!    echo back. A site that sends nothing runs all the way to its
-//!    cross-source horizon in one window. Sites are grouped into
-//!    `shards` by `site_id % shards`, and shards are claimed by
-//!    worker threads off an atomic cursor.
+//!    strictly before its horizon ([`Engine::run_before`]),
+//!    self-limiting against its *own* sends: execution proceeds in
+//!    chunks never more than the site's minimum round trip past its
+//!    next event, and each queued outgoing message caps the window at
+//!    `arrival + lookahead(dst→site)` — the earliest instant that
+//!    send could echo back. A site that sends nothing runs all the
+//!    way to its cross-source horizon in one window. Sites are
+//!    grouped into `shards` by `site_id % shards`; at one thread the
+//!    caller's thread runs every shard, otherwise a worker pool
+//!    claims shards off an atomic cursor.
 //! 4. **Barrier**, then repeat until no events remain anywhere.
 //!
 //! ## Why results are bit-identical at any shard/thread count
 //!
 //! The protocol's unit is the **site**, not the shard: the drain
 //! order (ascending source site id; per-destination batches preserve
-//! each destination's arrival order), the horizons (computed by the
-//! coordinator from per-site event times and the topology alone) and
+//! each destination's arrival order), the horizons (a function of the
+//! gathered per-site event times and the topology alone) and
 //! each site's intra-window execution (its engine's `(time, seq)`
 //! order over purely local state) are all independent of how sites
 //! are packed into shards or shards onto threads. Shards and threads
@@ -69,6 +67,12 @@
 //! metrics context is saved before the run and restored (then
 //! folded) after. A 1-shard, 1-thread run executes the identical
 //! windowed schedule, just without worker threads.
+//!
+//! [`ShardedSim::uniform_lookahead`] replaces the matrix with a uniform
+//! one at its minimum entry — the most conservative schedule the
+//! topology admits. It runs more, narrower windows on the same code
+//! path and the same history, which makes it the reference the
+//! history tests compare the topology's own schedule against.
 //!
 //! ## Allocation-free delivery
 //!
@@ -90,6 +94,7 @@
 //! ```
 //! use gridvm_simcore::shard::{ShardWorld, ShardedSim, SiteId, SiteState};
 //! use gridvm_simcore::engine::Engine;
+//! use gridvm_simcore::lookahead::LookaheadMatrix;
 //! use gridvm_simcore::time::{SimDuration, SimTime};
 //!
 //! struct Counter { received: u64 }
@@ -104,8 +109,9 @@
 //!     fn decode_msg(words: [u64; 2]) -> u64 { words[0] }
 //! }
 //!
-//! let lookahead = SimDuration::from_millis(5);
-//! let mut sim = ShardedSim::new(lookahead, (0..2).map(|_| Counter { received: 0 }));
+//! // Two sites joined by one 5 ms link.
+//! let matrix = LookaheadMatrix::shortest_paths(2, |_, _| Some(SimDuration::from_millis(5)));
+//! let mut sim = ShardedSim::new(matrix, (0..2).map(|_| Counter { received: 0 }));
 //! sim.with_site(0, |_, en| {
 //!     en.schedule_at(SimTime::ZERO, move |site: &mut SiteState<Counter>, en| {
 //!         site.send(SiteId(1), en.now() + SimDuration::from_millis(5), 7);
@@ -116,13 +122,13 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use crate::engine::Engine;
 use crate::lookahead::LookaheadMatrix;
 use crate::metrics::{self, Counter, Metrics};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::trace::TraceLog;
 
 /// Outbox buffers that regrew after their first allocation — a
@@ -218,10 +224,9 @@ pub struct SiteState<W: ShardWorld> {
     dirty: Vec<u32>,
     /// Capacity reserved on an outbox's first allocation.
     outbox_hint: usize,
-    /// Per-pair mode only: `echo_row[d]` is the return lookahead
-    /// `la(d → self)` in nanoseconds, so a send's earliest possible
-    /// echo is `arrival + echo_row[dst]`. Empty under global
-    /// lookahead.
+    /// `echo_row[d]` is the return lookahead `la(d → self)` in
+    /// nanoseconds, so a send's earliest possible echo is
+    /// `arrival + echo_row[dst]`.
     echo_row: Vec<u64>,
     /// Minimum echo bound over the messages queued this window;
     /// `u64::MAX` when the outbox is clean (reset at every drain).
@@ -238,9 +243,8 @@ impl<W: ShardWorld> SiteState<W> {
     /// instant `at`. The message is moved into the destination's
     /// engine at the next barrier; `at` must be at least one link
     /// latency past the window it was sent in (guaranteed when `at`
-    /// is `now + link_latency`, since the synchronizer's per-pair —
-    /// or global minimum — lookahead never exceeds any link latency)
-    /// or the drain panics.
+    /// is `now + link_latency`, since the synchronizer's per-pair
+    /// lookahead never exceeds any link latency) or the drain panics.
     ///
     /// # Panics
     ///
@@ -262,16 +266,13 @@ impl<W: ShardWorld> SiteState<W> {
             OUTBOX_REGROWN.add(1);
         }
         q.push((at, msg));
-        if !self.echo_row.is_empty() {
-            let echo = at.as_nanos().saturating_add(self.echo_row[dst.index()]);
-            self.echo_min = self.echo_min.min(echo);
-        }
+        let echo = at.as_nanos().saturating_add(self.echo_row[dst.index()]);
+        self.echo_min = self.echo_min.min(echo);
     }
 }
 
-/// One site's execution state: its engine, world, harvested metrics,
-/// the horizon the coordinator set for the current window and the
-/// event count of the window just executed.
+/// One site's execution state: its engine, world, harvested metrics
+/// and the bounds its windows run against.
 struct SiteRuntime<W: ShardWorld> {
     en: Engine<SiteState<W>>,
     state: SiteState<W>,
@@ -280,17 +281,14 @@ struct SiteRuntime<W: ShardWorld> {
     /// cells here ([`harvest_site`]); names materialize once per run
     /// via [`metrics::fold_cells`].
     fast: Vec<u64>,
-    /// On entry to a window: the coordinator's cross-source horizon in
-    /// nanoseconds (`u64::MAX` = nothing active can reach the site).
-    /// On exit: the bound the site actually guaranteed — lowered when
-    /// its own sends' echo bounds stopped it early — which becomes the
-    /// next drain's violation threshold.
-    horizon: u64,
-    /// Per-pair mode only: the site's minimum round trip in
-    /// nanoseconds, chunking how far execution may outrun the next
-    /// pending event before re-checking for new sends.
+    /// The site has executed everything strictly before this instant
+    /// (nanoseconds): the running maximum of the bounds its windows
+    /// guaranteed. A message arriving earlier is a lookahead violation.
+    safe: u64,
+    /// The site's minimum round trip in nanoseconds, chunking how far
+    /// execution may outrun the next pending event before re-checking
+    /// for new sends.
     rt_self: u64,
-    window_events: u64,
 }
 
 /// A conservatively synchronized multi-site simulation.
@@ -300,8 +298,7 @@ struct SiteRuntime<W: ShardWorld> {
 /// argument.
 pub struct ShardedSim<W: ShardWorld> {
     sites: Vec<Mutex<SiteRuntime<W>>>,
-    lookahead: SimDuration,
-    matrix: Option<LookaheadMatrix>,
+    matrix: LookaheadMatrix,
     shards: usize,
     threads: usize,
     windows: u64,
@@ -313,25 +310,24 @@ pub struct ShardedSim<W: ShardWorld> {
 }
 
 impl<W: ShardWorld> ShardedSim<W> {
-    /// Creates a sharded simulation over one world per site, with the
-    /// given lookahead (the minimum cross-site link latency; see
-    /// `SiteTopology::lookahead` in `gridvm-vnet`). Defaults to one
-    /// shard and one thread — the same protocol, serially — and to
-    /// the single global lookahead; install a topology's full
-    /// per-pair matrix with
-    /// [`per_pair_lookahead`](Self::per_pair_lookahead).
+    /// Creates a sharded simulation over one world per site, driven by
+    /// the topology's per-(src,dst) lookahead matrix (see
+    /// [`LookaheadMatrix`] and `SiteTopology::lookahead_matrix` in
+    /// `gridvm-vnet`). Defaults to one shard and one thread — the same
+    /// protocol, serially.
     ///
     /// # Panics
     ///
-    /// Panics on a zero lookahead: the conservative synchronizer
-    /// would have no safe-advance window.
-    pub fn new(lookahead: SimDuration, worlds: impl IntoIterator<Item = W>) -> Self {
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "zero lookahead leaves the conservative synchronizer no safe-advance window"
-        );
+    /// Panics when the matrix does not cover exactly one site per
+    /// world.
+    pub fn new(matrix: LookaheadMatrix, worlds: impl IntoIterator<Item = W>) -> Self {
         let worlds: Vec<W> = worlds.into_iter().collect();
         let n = worlds.len();
+        assert_eq!(
+            matrix.sites(),
+            n,
+            "lookahead matrix covers a different site count than the sim"
+        );
         let sites = worlds
             .into_iter()
             .enumerate()
@@ -350,16 +346,14 @@ impl<W: ShardWorld> ShardedSim<W> {
                     },
                     metrics: Metrics::new(),
                     fast: Vec::new(),
-                    horizon: 0,
+                    safe: 0,
                     rt_self: u64::MAX,
-                    window_events: 0,
                 })
             })
             .collect();
-        ShardedSim {
+        let mut sim = ShardedSim {
             sites,
-            lookahead,
-            matrix: None,
+            matrix,
             shards: 1,
             threads: 1,
             windows: 0,
@@ -368,40 +362,36 @@ impl<W: ShardWorld> ShardedSim<W> {
             critical_events: 0,
             coord: Metrics::new(),
             ran: false,
-        }
+        };
+        sim.install_site_bounds();
+        sim
     }
 
-    /// Installs a per-(src,dst) lookahead matrix (see
-    /// [`LookaheadMatrix`] and `SiteTopology::lookahead_matrix` in
-    /// `gridvm-vnet`): the window protocol computes one horizon per
-    /// site from the matrix instead of a single global
-    /// `t_min + lookahead`, and each site additionally self-limits
-    /// against its own sends' echo bounds (see the [module
-    /// docs](self)). Horizons stay a pure function of per-site event
-    /// times, the site's own sends and the topology, so results
-    /// remain bit-identical at any shard/thread count; window
-    /// *counts* differ from the global protocol (that is the point),
-    /// but the executed event schedule — and therefore traces,
-    /// digests and world-level metrics — does not.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the matrix does not cover exactly this sim's
-    /// sites.
-    pub fn per_pair_lookahead(mut self, matrix: LookaheadMatrix) -> Self {
-        assert_eq!(
-            matrix.sites(),
-            self.sites.len(),
-            "lookahead matrix covers a different site count than the sim"
-        );
+    /// Replaces the lookahead matrix with a uniform one at its minimum
+    /// entry: every pair, connected or not, gets the smallest latency
+    /// anywhere in the topology. That is the most conservative window
+    /// schedule the topology admits, on the same code path — narrower
+    /// windows and the identical history, which makes it the reference
+    /// to compare the topology's own schedule against. A matrix with no
+    /// connected pair is left as it is.
+    pub fn uniform_lookahead(mut self) -> Self {
+        if let Some(la) = self.matrix.min_lookahead() {
+            self.matrix = LookaheadMatrix::shortest_paths(self.sites.len(), |_, _| Some(la));
+            self.install_site_bounds();
+        }
+        self
+    }
+
+    /// Copies each site's share of the matrix into its runtime: the
+    /// return lookaheads its sends' echo bounds use and its minimum
+    /// round trip.
+    fn install_site_bounds(&mut self) {
         let n = self.sites.len();
         for (i, site) in self.sites.iter_mut().enumerate() {
             let rt = site.get_mut().expect("site lock poisoned");
-            rt.rt_self = matrix.round_trip_nanos(i);
-            rt.state.echo_row = (0..n).map(|d| matrix.lookahead_nanos(d, i)).collect();
+            rt.rt_self = self.matrix.round_trip_nanos(i);
+            rt.state.echo_row = (0..n).map(|d| self.matrix.lookahead_nanos(d, i)).collect();
         }
-        self.matrix = Some(matrix);
-        self
     }
 
     /// Sets the capacity reserved on each (src,dst) outbox's first
@@ -448,11 +438,6 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// Number of sites.
     pub fn sites(&self) -> usize {
         self.sites.len()
-    }
-
-    /// The configured lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Runs `f` with exclusive access to one site's state and engine
@@ -575,11 +560,7 @@ impl<W: ShardWorld> ShardedSim<W> {
         let ambient = metrics::take();
         let shards = self.shards.min(self.sites.len());
         let threads = self.threads.min(shards);
-        if threads <= 1 {
-            self.run_loop_serial(shards);
-        } else {
-            self.run_loop_parallel(shards, threads);
-        }
+        self.run_windows(shards, threads);
         self.coord.counter_add("shard.windows", self.windows);
         self.coord.counter_add("shard.messages", self.messages);
         // Materialize the zero-allocation counters even when nothing
@@ -601,112 +582,86 @@ impl<W: ShardWorld> ShardedSim<W> {
         }
     }
 
-    /// The protocol on the caller's thread: identical window schedule,
-    /// no worker threads to pay for — and no lock traffic either,
-    /// since exclusive ownership lets every site access go through
-    /// `Mutex::get_mut`.
-    fn run_loop_serial(&mut self, shards: usize) {
-        let n = self.sites.len();
-        let mut buf = CoordBuffers::new(n);
-        let mut per_shard = vec![0u64; shards];
-        loop {
-            self.messages += drain_segment_mut(&mut self.coord, &mut self.sites, &mut buf);
-            if !gather_times_mut(&mut self.sites, &mut buf.times) {
-                break;
-            }
-            compute_horizons(self.matrix.as_ref(), self.lookahead.as_nanos(), &mut buf);
-            per_shard.iter_mut().for_each(|c| *c = 0);
-            for (i, site) in self.sites.iter_mut().enumerate() {
-                let rt = site.get_mut().expect("site lock poisoned");
-                rt.horizon = buf.horizons[i];
-                per_shard[i % shards] += run_site_window(rt);
-                // The achieved bound (possibly echo-lowered) becomes
-                // the next drain's violation threshold; max keeps it
-                // monotone if a later horizon computes lower.
-                buf.safe[i] = buf.safe[i].max(rt.horizon);
-            }
-            self.account(&per_shard);
-        }
-    }
-
-    /// The protocol with a persistent worker pool: the coordinator
-    /// drains mailboxes and computes horizons; workers claim shards
-    /// off an atomic cursor each window. Which thread runs a site
-    /// never affects what the site computes.
-    fn run_loop_parallel(&mut self, shards: usize, threads: usize) {
-        let lookahead_ns = self.lookahead.as_nanos();
-        let matrix = self.matrix.as_ref();
-        let sites = &self.sites;
+    /// The window loop. The caller's thread is the coordinator: it
+    /// drains mailboxes, gathers each site's next event time and
+    /// tallies each window. At one thread the window's sites execute
+    /// inline on the caller's thread; otherwise a persistent pool of
+    /// `threads` workers runs them. Either way shards are claimed off
+    /// one atomic cursor, each site computes its own horizon from the
+    /// gathered times, and which thread runs a site never affects what
+    /// the site computes.
+    fn run_windows(&mut self, shards: usize, threads: usize) {
+        let ShardedSim {
+            sites,
+            matrix,
+            coord,
+            windows,
+            messages,
+            total_events,
+            critical_events,
+            ..
+        } = self;
+        let (sites, matrix) = (&*sites, &*matrix);
+        // Written by the coordinator, read by the executors, and the
+        // other way round for the per-shard event counts; the barrier
+        // (or, inline, program order) orders every access.
+        let times: Vec<AtomicU64> = sites.iter().map(|_| AtomicU64::new(u64::MAX)).collect();
+        let shard_events: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
+        let workers = if threads > 1 { threads } else { 0 };
         let running = AtomicBool::new(true);
         let cursor = AtomicUsize::new(0);
-        let barrier = Barrier::new(threads + 1);
-        let mut windows = 0u64;
-        let mut messages = 0u64;
-        let mut total = 0u64;
-        let mut critical = 0u64;
-        let mut coord = Metrics::new();
+        let barrier = Barrier::new(workers + 1);
+        // Claims shards off the cursor until none remain, running each
+        // claimed shard's sites through the window.
+        let execute = || loop {
+            let shard = cursor.fetch_add(1, Ordering::Relaxed);
+            if shard >= shards {
+                break;
+            }
+            let mut ran = 0;
+            for i in (shard..sites.len()).step_by(shards) {
+                let h = horizon(i, &times, matrix);
+                ran += run_site_window(&mut sites[i].lock().expect("site lock poisoned"), h);
+            }
+            shard_events[shard].store(ran, Ordering::Relaxed);
+        };
         std::thread::scope(|scope| {
-            for _ in 0..threads {
+            for _ in 0..workers {
                 // audit:allow(shard-state-escape): scoped worker borrows the epoch barrier; threads join at scope end before any result is read
                 scope.spawn(|| loop {
                     barrier.wait();
                     if !running.load(Ordering::Acquire) {
                         break;
                     }
-                    loop {
-                        let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shards {
-                            break;
-                        }
-                        let mut i = shard;
-                        while i < sites.len() {
-                            let mut rt = sites[i].lock().expect("site lock poisoned");
-                            rt.window_events = run_site_window(&mut rt);
-                            i += shards;
-                        }
-                    }
+                    execute();
                     barrier.wait();
                 });
             }
-            let mut buf = CoordBuffers::new(sites.len());
-            let mut per_shard = vec![0u64; shards];
+            let mut buf = DrainBuffers::new(sites.len());
             loop {
-                messages += drain_segment(&mut coord, sites, &mut buf);
-                if !gather_times(sites, &mut buf.times) {
+                *messages += drain_segment(coord, sites, &mut buf);
+                if !gather_times(sites, &times) {
                     break;
                 }
-                compute_horizons(matrix, lookahead_ns, &mut buf);
-                for (i, site) in sites.iter().enumerate() {
-                    site.lock().expect("site lock poisoned").horizon = buf.horizons[i];
-                }
                 cursor.store(0, Ordering::Relaxed);
-                barrier.wait(); // open the window
-                barrier.wait(); // every site has executed
-                per_shard.iter_mut().for_each(|c| *c = 0);
-                for (i, site) in sites.iter().enumerate() {
-                    let mut rt = site.lock().expect("site lock poisoned");
-                    per_shard[i % shards] += rt.window_events;
-                    rt.window_events = 0;
-                    buf.safe[i] = buf.safe[i].max(rt.horizon);
+                if workers == 0 {
+                    execute();
+                } else {
+                    barrier.wait(); // open the window
+                    barrier.wait(); // every site has executed
                 }
-                total += per_shard.iter().sum::<u64>();
-                critical += per_shard.iter().max().copied().unwrap_or(0);
-                windows += 1;
+                let mut busiest = 0;
+                for events in &shard_events {
+                    let events = events.load(Ordering::Relaxed);
+                    *total_events += events;
+                    busiest = busiest.max(events);
+                }
+                *critical_events += busiest;
+                *windows += 1;
             }
             running.store(false, Ordering::Release);
             barrier.wait(); // release workers into the exit check
         });
-        self.windows += windows;
-        self.messages += messages;
-        self.total_events += total;
-        self.critical_events += critical;
-        self.coord.merge(&coord);
-    }
-
-    fn account(&mut self, per_shard: &[u64]) {
-        self.windows += 1;
-        self.total_events += per_shard.iter().sum::<u64>();
-        self.critical_events += per_shard.iter().max().copied().unwrap_or(0);
     }
 }
 
@@ -714,8 +669,7 @@ impl<W: ShardWorld> fmt::Debug for ShardedSim<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedSim")
             .field("sites", &self.sites.len())
-            .field("lookahead", &self.lookahead)
-            .field("per_pair", &self.matrix.is_some())
+            .field("min_lookahead", &self.matrix.min_lookahead())
             .field("shards", &self.shards)
             .field("threads", &self.threads)
             .field("windows", &self.windows)
@@ -723,33 +677,19 @@ impl<W: ShardWorld> fmt::Debug for ShardedSim<W> {
     }
 }
 
-/// The coordinator's reusable per-window working set: per-site event
-/// times, horizons, the already-executed bounds (`safe`), and the
-/// drain's double-buffer scratch. Allocated once per run; every
+/// The drain's double-buffer scratch, allocated once per run; every
 /// window reuses the capacity.
-struct CoordBuffers<M> {
-    /// Earliest pending event per site, nanos; `u64::MAX` when idle.
-    times: Vec<u64>,
-    /// This window's per-site exclusive bound.
-    horizons: Vec<u64>,
-    /// The running maximum of each site's achieved bounds — site `i`
-    /// is guaranteed to have executed everything strictly before
-    /// `safe[i]`, so a message arriving earlier is a lookahead
-    /// violation.
-    safe: Vec<u64>,
-    /// Per-destination swap buffers for the drain; capacity circulates
-    /// between these and the sites' outboxes.
+struct DrainBuffers<M> {
+    /// Per-destination swap buffers; capacity circulates between these
+    /// and the sites' outboxes.
     scratch: Vec<Vec<M>>,
     /// Swap buffer for a source's dirty-destination list.
     dirty: Vec<u32>,
 }
 
-impl<M> CoordBuffers<M> {
+impl<M> DrainBuffers<M> {
     fn new(n: usize) -> Self {
-        CoordBuffers {
-            times: vec![u64::MAX; n],
-            horizons: vec![0; n],
-            safe: vec![0; n],
+        DrainBuffers {
             scratch: (0..n).map(|_| Vec::new()).collect(),
             dirty: Vec::new(),
         }
@@ -762,7 +702,7 @@ impl<M> CoordBuffers<M> {
 /// being reallocated every window — and re-arms the echo bound.
 fn take_outboxes<W: ShardWorld>(
     rt: &mut SiteRuntime<W>,
-    buf: &mut CoordBuffers<(SimTime, W::Msg)>,
+    buf: &mut DrainBuffers<(SimTime, W::Msg)>,
 ) {
     std::mem::swap(&mut rt.state.dirty, &mut buf.dirty);
     for &d in &buf.dirty {
@@ -783,9 +723,9 @@ fn deliver_batch<W: ShardWorld>(
     src: usize,
     rt: &mut SiteRuntime<W>,
     batch: &mut Vec<(SimTime, W::Msg)>,
-    safe: u64,
 ) -> u64 {
     let delivered = batch.len() as u64;
+    let safe = rt.safe;
     for (at, msg) in batch.drain(..) {
         assert!(
             at.as_nanos() >= safe,
@@ -813,7 +753,7 @@ fn deliver_batch<W: ShardWorld>(
 fn drain_segment<W: ShardWorld>(
     coord: &mut Metrics,
     sites: &[Mutex<SiteRuntime<W>>],
-    buf: &mut CoordBuffers<(SimTime, W::Msg)>,
+    buf: &mut DrainBuffers<(SimTime, W::Msg)>,
 ) -> u64 {
     let mut delivered = 0u64;
     for src in 0..sites.len() {
@@ -824,16 +764,10 @@ fn drain_segment<W: ShardWorld>(
             }
             take_outboxes(&mut rt, buf);
         }
-        let CoordBuffers {
-            dirty,
-            scratch,
-            safe,
-            ..
-        } = buf;
-        for &d in dirty.iter() {
+        for &d in &buf.dirty {
             let dst = d as usize;
             let mut rt = sites[dst].lock().expect("site lock poisoned");
-            delivered += deliver_batch(src, &mut rt, &mut scratch[dst], safe[dst]);
+            delivered += deliver_batch(src, &mut rt, &mut buf.scratch[dst]);
         }
         buf.dirty.clear();
     }
@@ -846,150 +780,59 @@ fn drain_segment<W: ShardWorld>(
     delivered
 }
 
-/// [`drain_segment`] for the serial loop: exclusive ownership of the
-/// sites means every access is a `get_mut`, not a lock.
-fn drain_segment_mut<W: ShardWorld>(
-    coord: &mut Metrics,
-    sites: &mut [Mutex<SiteRuntime<W>>],
-    buf: &mut CoordBuffers<(SimTime, W::Msg)>,
-) -> u64 {
-    let mut delivered = 0u64;
-    for src in 0..sites.len() {
-        {
-            let rt = sites[src].get_mut().expect("site lock poisoned");
-            if rt.state.dirty.is_empty() {
-                continue;
-            }
-            take_outboxes(rt, buf);
-        }
-        let CoordBuffers {
-            dirty,
-            scratch,
-            safe,
-            ..
-        } = buf;
-        for &d in dirty.iter() {
-            let dst = d as usize;
-            let rt = sites[dst].get_mut().expect("site lock poisoned");
-            delivered += deliver_batch(src, rt, &mut scratch[dst], safe[dst]);
-        }
-        buf.dirty.clear();
-    }
-    if delivered > 0 {
-        metrics::harvest_into(coord);
-    }
-    delivered
-}
-
 /// Records each site's earliest pending event time into `times`
 /// (`u64::MAX` when idle); returns whether any site has work.
-fn gather_times<W: ShardWorld>(sites: &[Mutex<SiteRuntime<W>>], times: &mut [u64]) -> bool {
+fn gather_times<W: ShardWorld>(sites: &[Mutex<SiteRuntime<W>>], times: &[AtomicU64]) -> bool {
     let mut any = false;
-    for (i, site) in sites.iter().enumerate() {
-        let rt = site.lock().expect("site lock poisoned");
-        times[i] = match rt.en.next_event_time() {
-            Some(t) => {
-                any = true;
-                t.as_nanos()
-            }
-            None => u64::MAX,
-        };
+    for (site, t) in sites.iter().zip(times) {
+        let next = site
+            .lock()
+            .expect("site lock poisoned")
+            .en
+            .next_event_time();
+        any |= next.is_some();
+        t.store(next.map_or(u64::MAX, SimTime::as_nanos), Ordering::Relaxed);
     }
     any
 }
 
-/// [`gather_times`] for the serial loop: a lock-free `get_mut` peek
-/// at each site's event queue.
-fn gather_times_mut<W: ShardWorld>(sites: &mut [Mutex<SiteRuntime<W>>], times: &mut [u64]) -> bool {
-    let mut any = false;
-    for (i, site) in sites.iter_mut().enumerate() {
-        let rt = site.get_mut().expect("site lock poisoned");
-        times[i] = match rt.en.next_event_time() {
-            Some(t) => {
-                any = true;
-                t.as_nanos()
-            }
-            None => u64::MAX,
-        };
-    }
-    any
-}
-
-/// Computes this window's per-site horizons from the gathered event
-/// times — a pure function of `times` and the topology, which is what
-/// keeps the schedule independent of shard/thread packing.
-///
-/// Without a matrix every site shares the classic global bound
-/// `t_min + lookahead`. With one, site `i`'s horizon is the earliest
-/// instant any *other* site's pending work could reach it:
-/// `min over active s != i of (t_s + la(s,i))` — `u64::MAX` when no
-/// active source can ever reach the site. Constraints arising from
-/// the site's *own* sends are enforced during execution
-/// ([`run_site_window`]'s echo chunking), where the actual sends are
-/// known, rather than assumed worst-case here.
-fn compute_horizons<M>(
-    matrix: Option<&LookaheadMatrix>,
-    lookahead_ns: u64,
-    buf: &mut CoordBuffers<M>,
-) {
-    match matrix {
-        None => {
-            let t_min = buf.times.iter().copied().min().unwrap_or(u64::MAX);
-            buf.horizons.fill(t_min.saturating_add(lookahead_ns));
-        }
-        Some(m) => {
-            for (i, h_out) in buf.horizons.iter_mut().enumerate() {
-                let mut h = u64::MAX;
-                for (s, &t_s) in buf.times.iter().enumerate() {
-                    if t_s == u64::MAX || s == i {
-                        continue;
-                    }
-                    h = h.min(t_s.saturating_add(m.lookahead_nanos(s, i)));
-                }
-                *h_out = h;
-            }
+/// Site `i`'s horizon for this window: the earliest instant any
+/// *other* site's pending work could reach it, `min over s != i of
+/// (t_s + la(s,i))` — `u64::MAX` when no active source can ever reach
+/// the site. A pure function of the gathered times and the topology,
+/// which is what keeps the schedule independent of shard/thread
+/// packing. Constraints arising from the site's *own* sends are
+/// enforced during execution ([`run_site_window`]'s echo chunking),
+/// where the actual sends are known, rather than assumed worst-case
+/// here.
+fn horizon(i: usize, times: &[AtomicU64], matrix: &LookaheadMatrix) -> u64 {
+    let mut h = u64::MAX;
+    for (s, t) in times.iter().enumerate() {
+        if s != i {
+            // An idle source's `u64::MAX` saturates and bounds nothing.
+            let reach = t
+                .load(Ordering::Relaxed)
+                .saturating_add(matrix.lookahead_nanos(s, i));
+            h = h.min(reach);
         }
     }
+    h
 }
 
 /// Executes one site's share of a window against a fresh thread-local
 /// metrics context, harvested into the site's own registry. Returns
 /// how many events ran.
 ///
-/// Under global lookahead this is a single [`Engine::run_before`] to
-/// the coordinator's horizon. Under per-pair lookahead the site
-/// self-limits against its own sends: execution proceeds in chunks of
-/// at most the site's minimum round trip past its next event (a send
-/// can occur at any executed event, and its echo can return no sooner
-/// than one round trip later), and after each chunk the queued sends'
-/// actual echo bounds — `arrival + la(dst → site)`, tracked by
-/// [`SiteState::send`] as `echo_min` — cap the rest of the window. On
-/// exit `rt.horizon` is lowered to the bound actually guaranteed, so
-/// the next drain's violation check stays exact.
-fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>) -> u64 {
-    let h_cross = rt.horizon;
-    let Some(next) = rt.en.next_event_time() else {
-        return 0;
-    };
-    if rt.state.echo_row.is_empty() {
-        // Global lookahead: one shared horizon, no echo tracking.
-        if next.as_nanos() >= h_cross {
-            return 0;
-        }
-        let ran = if h_cross == u64::MAX {
-            let before = rt.en.executed();
-            rt.en.run(&mut rt.state);
-            rt.en.executed() - before
-        } else {
-            rt.en
-                .run_before(&mut rt.state, SimTime::from_nanos(h_cross))
-        };
-        harvest_site(rt);
-        return ran;
-    }
-    if next.as_nanos() >= h_cross {
-        return 0;
-    }
+/// The site self-limits against its own sends: execution proceeds in
+/// chunks of at most the site's minimum round trip past its next event
+/// (a send can occur at any executed event, and its echo can return no
+/// sooner than one round trip later), and after each chunk the queued
+/// sends' actual echo bounds — `arrival + la(dst → site)`, tracked by
+/// [`SiteState::send`] as `echo_min` — cap the rest of the window. The
+/// bound actually guaranteed (`h_cross`, or lower when an echo bound
+/// stopped the site early) raises `rt.safe`, so the next drain's
+/// violation check stays exact.
+fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>, h_cross: u64) -> u64 {
     let rt_self = rt.rt_self;
     let mut ran = 0u64;
     let achieved = loop {
@@ -1015,8 +858,11 @@ fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>) -> u64 {
         }
         ran += rt.en.run_before(&mut rt.state, SimTime::from_nanos(chunk));
     };
-    rt.horizon = achieved;
-    harvest_site(rt);
+    // max keeps the bound monotone if a later horizon computes lower.
+    rt.safe = rt.safe.max(achieved);
+    if ran > 0 {
+        harvest_site(rt);
+    }
     ran
 }
 
@@ -1037,6 +883,7 @@ mod tests {
     use super::*;
     use crate::replication::derive_seed_sharded;
     use crate::rng::SimRng;
+    use crate::time::SimDuration;
 
     const LAT: SimDuration = SimDuration::from_millis(5);
 
@@ -1091,7 +938,7 @@ mod tests {
 
     fn build(n: u32, ticks: u64) -> ShardedSim<PingWorld> {
         let mut sim = ShardedSim::new(
-            LAT,
+            ring_matrix(n),
             (0..n).map(|i| PingWorld {
                 rng: SimRng::seed_from(derive_seed_sharded(0xabad_5eed, 0, u64::from(i))),
                 peers: n,
@@ -1110,11 +957,19 @@ mod tests {
         sim
     }
 
-    /// A uniform all-pairs matrix at the global lookahead: per-pair
-    /// protocol, identical horizons — for exercising the per-pair code
-    /// path against worlds built on a single latency.
+    /// A uniform all-pairs matrix at `LAT`, for worlds built on a
+    /// single latency.
     fn uniform_matrix(n: usize) -> LookaheadMatrix {
         LookaheadMatrix::shortest_paths(n, |_, _| Some(LAT))
+    }
+
+    /// A ring of `LAT` links: each site's direct links go to its two
+    /// neighbors (where `PingWorld` sends), so pairs further apart get
+    /// a relayed bound of several `LAT`.
+    fn ring_matrix(n: u32) -> LookaheadMatrix {
+        LookaheadMatrix::shortest_paths(n as usize, |a, b| {
+            ((a.0 + 1) % n == b.0 || (b.0 + 1) % n == a.0).then_some(LAT)
+        })
     }
 
     fn fingerprint(mut sim: ShardedSim<PingWorld>) -> (u64, u64, u64, u64, Metrics) {
@@ -1151,20 +1006,14 @@ mod tests {
     }
 
     #[test]
-    fn per_pair_protocol_is_invariant_and_matches_global_results() {
-        let want = fingerprint(build(5, 40));
+    fn topology_schedule_is_invariant_and_matches_the_uniform_reference() {
+        let want = fingerprint(build(5, 40).uniform_lookahead());
         for shards in [1usize, 2, 4, 8] {
             for threads in [1usize, 4] {
-                let got = fingerprint(
-                    build(5, 40)
-                        .per_pair_lookahead(uniform_matrix(5))
-                        .shards(shards)
-                        .threads(threads),
-                );
-                // A uniform matrix at the global latency widens
-                // horizons only through echo chunking; digests,
-                // messages and events must match the global protocol
-                // exactly.
+                let got = fingerprint(build(5, 40).shards(shards).threads(threads));
+                // The ring's relayed pairs widen horizons past the
+                // uniform reference's; digests, messages and events
+                // must match it exactly.
                 assert_eq!(got.0, want.0, "digest at shards={shards} threads={threads}");
                 assert_eq!(got.2, want.2, "messages at shards={shards}");
                 assert_eq!(got.3, want.3, "events at shards={shards}");
@@ -1209,7 +1058,7 @@ mod tests {
                 words[0]
             }
         }
-        let mut sim = ShardedSim::new(LAT, [Chatty, Chatty]).outbox_capacity(1);
+        let mut sim = ShardedSim::new(uniform_matrix(2), [Chatty, Chatty]).outbox_capacity(1);
         sim.with_site(0, |_, en| {
             en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<Chatty>, en| {
                 for k in 0..8 {
@@ -1291,7 +1140,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookahead violation")]
     fn sends_below_the_lookahead_panic() {
-        let mut sim = ShardedSim::new(LAT, [Idle, Idle]);
+        let mut sim = ShardedSim::new(uniform_matrix(2), [Idle, Idle]);
         sim.with_site(0, |_, en| {
             // Two windows of local work so the second send's timestamp
             // lands inside an already-executed window.
@@ -1308,7 +1157,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-send")]
     fn self_sends_panic() {
-        let mut sim = ShardedSim::new(LAT, [Idle]);
+        let mut sim = ShardedSim::new(uniform_matrix(1), [Idle]);
         sim.with_site(0, |_, en| {
             en.schedule_at(SimTime::ZERO, |site: &mut SiteState<Idle>, en| {
                 site.send(SiteId(0), en.now() + LAT, ());
@@ -1318,31 +1167,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "safe-advance window")]
-    fn zero_lookahead_is_rejected() {
-        let _ = ShardedSim::new(SimDuration::ZERO, [Idle]);
-    }
-
-    #[test]
     #[should_panic(expected = "different site count")]
     fn mismatched_matrix_is_rejected() {
-        let _ = ShardedSim::new(LAT, [Idle, Idle]).per_pair_lookahead(uniform_matrix(3));
+        let _ = ShardedSim::new(uniform_matrix(3), [Idle, Idle]);
     }
 
     #[test]
     #[should_panic(expected = "single-shot")]
     fn running_twice_panics() {
-        let mut sim = ShardedSim::new(LAT, [Idle]);
+        let mut sim = ShardedSim::new(uniform_matrix(1), [Idle]);
         sim.run();
         sim.run();
     }
 
     #[test]
     fn empty_and_idle_worlds_terminate() {
-        let mut none: ShardedSim<Idle> = ShardedSim::new(LAT, []);
+        let mut none: ShardedSim<Idle> = ShardedSim::new(uniform_matrix(0), []);
         none.run();
         assert_eq!(none.windows(), 0);
-        let mut quiet = ShardedSim::new(LAT, [Idle, Idle]).shards(2).threads(2);
+        let mut quiet = ShardedSim::new(uniform_matrix(2), [Idle, Idle])
+            .shards(2)
+            .threads(2);
         quiet.run();
         assert_eq!(quiet.windows(), 0);
         assert_eq!(quiet.total_events(), 0);
@@ -1352,12 +1197,12 @@ mod tests {
     fn echo_chunked_windows_cut_barriers_without_changing_results() {
         // Two metro pairs (5ms) joined by 40ms WAN links. Each
         // delivery runs a 20-event local burst (1ms apart) and the
-        // final burst event sends the next hop. The global protocol
+        // final burst event sends the next hop. The uniform reference
         // chops every burst into 5ms windows (the minimum latency
-        // anywhere); per-pair, a bursting site's only constraints are
-        // the distant pair (t + 40ms) and its own send's echo — so a
-        // whole burst fits in one window and the barrier count drops
-        // by the burst-to-lookahead ratio.
+        // anywhere); under the topology, a bursting site's only
+        // constraints are the distant pair (t + 40ms) and its own
+        // send's echo — so a whole burst fits in one window and the
+        // barrier count drops by the burst-to-lookahead ratio.
         struct Burster;
         fn burst(
             args: [u64; 2],
@@ -1397,10 +1242,11 @@ mod tests {
                 _ => Some(SimDuration::from_millis(40)),
             }
         };
-        let build = |matrix: Option<LookaheadMatrix>| {
-            let mut sim = ShardedSim::new(SimDuration::from_millis(5), (0..4).map(|_| Burster));
-            if let Some(m) = matrix {
-                sim = sim.per_pair_lookahead(m);
+        let build = |uniform: bool| {
+            let matrix = LookaheadMatrix::shortest_paths(4, direct);
+            let mut sim = ShardedSim::new(matrix, (0..4).map(|_| Burster));
+            if uniform {
+                sim = sim.uniform_lookahead();
             }
             for src in [0usize, 2] {
                 sim.with_site(src, |_, en| {
@@ -1412,20 +1258,20 @@ mod tests {
             metrics::reset();
             sim
         };
-        let mut global = build(None);
-        let mut paired = build(Some(LookaheadMatrix::shortest_paths(4, direct)));
+        let mut uniform = build(true);
+        let mut paired = build(false);
         assert_eq!(
             paired.trace_digest(),
-            global.trace_digest(),
+            uniform.trace_digest(),
             "same schedule"
         );
-        assert_eq!(paired.messages(), global.messages());
-        assert_eq!(paired.total_events(), global.total_events());
+        assert_eq!(paired.messages(), uniform.messages());
+        assert_eq!(paired.total_events(), uniform.total_events());
         assert!(
-            paired.windows() * 3 <= global.windows(),
+            paired.windows() * 3 <= uniform.windows(),
             "echo-chunked per-pair windows must cut barriers at least 3x here: {} vs {}",
             paired.windows(),
-            global.windows()
+            uniform.windows()
         );
     }
 }

@@ -24,8 +24,8 @@
 //!   re-optimization when the underlay degrades.
 //! * [`sites`] — the multi-site virtual-organization graph: named
 //!   sites joined by inter-site links, shard partition maps, and the
-//!   minimum-latency **lookahead** extraction the conservative
-//!   synchronizer (`gridvm_simcore::shard`) advances by.
+//!   per-(src,dst) **lookahead matrix** the conservative synchronizer
+//!   (`gridvm_simcore::shard`) advances by.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,22 +1,22 @@
 //! Multi-site virtual-organization topology: named grid sites joined
 //! by inter-site [`NetLink`]s, the partition map for sharded
-//! execution, and the **lookahead** extraction the conservative
-//! synchronizer ([`gridvm_simcore::shard`]) is built on.
+//! execution, and the per-(src,dst) **lookahead matrix** the
+//! conservative synchronizer ([`gridvm_simcore::shard`]) is built on.
 //!
 //! The paper's deployment target is a virtual organization of
 //! administrative sites ("middleware to allow resources of for-profit
 //! service providers to be integrated") joined by wide-area links.
 //! Cross-site interactions cannot propagate faster than the links
-//! carrying them, so the minimum inter-site latency is a sound
-//! lookahead: each site can execute independently that far past the
-//! global event horizon.
+//! carrying them, so the cheapest path from one site to another is a
+//! sound lookahead for that pair: the destination can execute
+//! independently that far past the source's next event.
 //!
 //! ```
 //! use gridvm_vnet::sites::SiteTopology;
 //! use gridvm_simcore::time::SimDuration;
 //!
 //! let topo = SiteTopology::paper_vo(4);
-//! let la = topo.lookahead().expect("meshed");
+//! let la = topo.lookahead_matrix().min_lookahead().expect("meshed");
 //! assert!(la >= SimDuration::from_millis(5));
 //! assert_eq!(topo.partition(2), vec![
 //!     vec![gridvm_simcore::SiteId(0), gridvm_simcore::SiteId(2)],
@@ -106,22 +106,13 @@ impl SiteTopology {
         self.link(a, b).map(NetLink::latency)
     }
 
-    /// The conservative synchronizer's lookahead: the minimum latency
-    /// over every inter-site link. `None` when no links exist (a
-    /// single-site or fully disconnected topology needs no
-    /// synchronization).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.links.values().map(NetLink::latency).min()
-    }
-
     /// The per-(src,dst) lookahead matrix: the all-pairs
-    /// minimum-latency closure of the site graph, ready to install on
-    /// a sharded sim with
-    /// [`ShardedSim::per_pair_lookahead`](gridvm_simcore::shard::ShardedSim::per_pair_lookahead).
-    /// Where [`Self::lookahead`] collapses the topology to one global
-    /// constant, the matrix keeps each pair's true bound — on a
-    /// regional topology the WAN pairs contribute windows 4–9× wider
-    /// than the metro minimum.
+    /// minimum-latency closure of the site graph, ready to drive a
+    /// sharded sim through
+    /// [`ShardedSim::new`](gridvm_simcore::shard::ShardedSim::new).
+    /// Each pair keeps its true bound — on a regional topology the WAN
+    /// pairs contribute windows 4–9× wider than the metro minimum
+    /// ([`LookaheadMatrix::min_lookahead`]).
     pub fn lookahead_matrix(&self) -> LookaheadMatrix {
         LookaheadMatrix::shortest_paths(self.sites(), |a, b| self.latency(a, b))
     }
@@ -275,9 +266,10 @@ mod tests {
 
     #[test]
     fn lookahead_is_the_minimum_link_latency() {
-        assert_eq!(SiteTopology::new().lookahead(), None);
+        let min = |topo: &SiteTopology| topo.lookahead_matrix().min_lookahead();
+        assert_eq!(min(&SiteTopology::new()), None);
         let mut topo = mesh(3);
-        assert_eq!(topo.lookahead(), Some(SimDuration::from_millis(10)));
+        assert_eq!(min(&topo), Some(SimDuration::from_millis(10)));
         topo.connect(
             SiteId(1),
             SiteId(2),
@@ -286,7 +278,7 @@ mod tests {
                 Bandwidth::from_mbit_per_sec(100.0),
             ),
         );
-        assert_eq!(topo.lookahead(), Some(SimDuration::from_millis(4)));
+        assert_eq!(min(&topo), Some(SimDuration::from_millis(4)));
     }
 
     #[test]
@@ -303,7 +295,8 @@ mod tests {
                 assert!(lat < SimDuration::from_millis(17), "{a}->{b}: {lat}");
             }
         }
-        assert!(topo.lookahead().expect("meshed") >= SimDuration::from_millis(5));
+        let la = topo.lookahead_matrix().min_lookahead().expect("meshed");
+        assert!(la >= SimDuration::from_millis(5));
         assert_eq!(topo.name(SiteId(0)), "vo-site0");
     }
 
@@ -339,14 +332,17 @@ mod tests {
                 }
             }
         }
-        assert_eq!(topo.lookahead(), Some(SimDuration::from_millis(5)));
+        assert_eq!(
+            topo.lookahead_matrix().min_lookahead(),
+            Some(SimDuration::from_millis(5))
+        );
     }
 
     #[test]
     fn lookahead_matrix_closes_over_relay_paths() {
         // Direct 0-1 link is 30ms, but relaying through 2 costs
-        // 4 + 4: the matrix must report the relayed bound while the
-        // scalar lookahead stays the cheapest single link.
+        // 4 + 4: the matrix must report the relayed bound while its
+        // minimum stays the cheapest single link.
         let mut topo = SiteTopology::new();
         let (a, b, c) = (topo.add_site("a"), topo.add_site("b"), topo.add_site("c"));
         let bw = Bandwidth::from_mbit_per_sec(100.0);
@@ -356,11 +352,11 @@ mod tests {
         let m = topo.lookahead_matrix();
         assert_eq!(m.lookahead(a, b), Some(SimDuration::from_millis(8)));
         assert_eq!(m.lookahead(a, c), Some(SimDuration::from_millis(4)));
-        assert_eq!(m.min_lookahead(), topo.lookahead());
+        assert_eq!(m.min_lookahead(), Some(SimDuration::from_millis(4)));
     }
 
     #[test]
-    fn lookahead_matrix_agrees_with_scalar_lookahead_on_reference_vos() {
+    fn lookahead_matrix_minimum_is_the_cheapest_link_on_reference_vos() {
         for topo in [
             SiteTopology::paper_vo(6),
             SiteTopology::regional_vo(3, 4),
@@ -368,7 +364,8 @@ mod tests {
         ] {
             let m = topo.lookahead_matrix();
             assert_eq!(m.sites(), topo.sites());
-            assert_eq!(m.min_lookahead(), topo.lookahead());
+            let cheapest = topo.links.values().map(NetLink::latency).min();
+            assert_eq!(m.min_lookahead(), cheapest);
         }
         // Regional WAN pairs keep bounds well above the 5ms metro
         // minimum — the structure the per-pair protocol exploits.

@@ -4,11 +4,12 @@
 //! PR 5 made local dispatch allocation-free and pinned it with
 //! `sim.events_boxed == 0`; these tests pin the same property for the
 //! cross-shard mailboxes (every VO message rides the inline `Arg2`
-//! event words) and pin the per-pair lookahead protocol's contract:
-//! identical histories — trace digests, per-site checksums, metrics —
-//! to the global-lookahead protocol and across every shard/thread
-//! packing, with strictly fewer barrier windows wherever the topology
-//! has latency spread.
+//! event words) and pin the per-pair lookahead contract: the
+//! topology's schedule yields histories — trace digests, per-site
+//! checksums, metrics — identical to the uniform minimum-latency
+//! reference (`ShardedSim::uniform_lookahead`) and across every
+//! shard/thread packing, with fewer barrier windows wherever the
+//! topology has latency spread.
 
 use gridvm::core::multisite::{
     build_vo, build_vo_scale, VoConfig, VoMsg, VoScaleConfig, VoScaleMsg, VoScaleSite, VoSite,
@@ -19,11 +20,11 @@ use gridvm_bench::regional::{build_handoff, HandoffConfig, HandoffMsg, HandoffSi
 use proptest::prelude::*;
 
 /// Everything two runs must agree on when they claim "same history",
-/// regardless of synchronizer protocol: the sampled trace digest,
-/// per-site work checksums, cross-site message count, total executed
-/// events, and every metric that is not synchronizer bookkeeping
-/// (`shard.*` legitimately differs between protocols — that's the
-/// point of the optimization).
+/// regardless of window schedule: the sampled trace digest, per-site
+/// work checksums, cross-site message count, total executed events,
+/// and every metric that is not synchronizer bookkeeping (`shard.*`
+/// legitimately differs between schedules — that's the point of the
+/// per-pair matrix).
 #[derive(Debug, PartialEq)]
 struct History {
     digest: u64,
@@ -54,8 +55,13 @@ fn history(
     }
 }
 
-fn run_vo(cfg: &VoConfig, shards: usize, threads: usize) -> (History, u64, u64) {
+/// Runs the VO world under the topology's matrix, or under its uniform
+/// minimum-latency reference when `uniform` is set.
+fn run_vo(cfg: &VoConfig, uniform: bool, shards: usize, threads: usize) -> (History, u64, u64) {
     let mut sim = build_vo(cfg).shards(shards).threads(threads);
+    if uniform {
+        sim = sim.uniform_lookahead();
+    }
     metrics::reset();
     sim.run();
     metrics::reset();
@@ -119,17 +125,17 @@ fn steady_state_vo_scale_mailbox_traffic_is_allocation_free() {
 #[test]
 fn per_pair_windows_cut_barriers_threefold_on_the_regional_handoff_world() {
     // The bursty handoff workload (one active site per region,
-    // everything else idle) is where the per-pair protocol's wider
+    // everything else idle) is where the per-pair matrix's wider
     // horizons pay: the nearest *activity* is a WAN region away even
-    // though the nearest *link* is metro. Same history, >= 3x fewer
-    // barrier windows — the bench gate's regional scenario asserts
-    // the same bound from the recorded baseline.
-    let run = |per_pair: bool| {
-        let cfg = HandoffConfig {
-            per_pair_lookahead: per_pair,
-            ..HandoffConfig::reference()
-        };
+    // though the nearest *link* is metro. Same history as the uniform
+    // reference, >= 3x fewer barrier windows — the baseline's
+    // regional scenario asserts the same bound.
+    let run = |uniform: bool| {
+        let cfg = HandoffConfig::reference();
         let mut sim = build_handoff(&cfg).shards(4).threads(2);
+        if uniform {
+            sim = sim.uniform_lookahead();
+        }
         metrics::reset();
         sim.run();
         metrics::reset();
@@ -149,36 +155,38 @@ fn per_pair_windows_cut_barriers_threefold_on_the_regional_handoff_world() {
             sim.windows(),
         )
     };
-    let (global_history, global_windows) = run(false);
-    let (paired_history, paired_windows) = run(true);
+    let (uniform_history, uniform_windows) = run(true);
+    let (paired_history, paired_windows) = run(false);
     assert_eq!(
-        paired_history, global_history,
+        paired_history, uniform_history,
         "per-pair lookahead changed the simulated history"
     );
     assert!(
-        paired_windows * 3 <= global_windows,
-        "expected >= 3x fewer windows, got {paired_windows} vs {global_windows}"
+        paired_windows * 3 <= uniform_windows,
+        "expected >= 3x fewer windows, got {paired_windows} vs {uniform_windows}"
     );
 }
 
 #[test]
-fn per_pair_windows_match_global_history_on_the_scale_world() {
+fn per_pair_windows_match_the_uniform_history_on_the_scale_world() {
     // The always-active scale world is the adversarial case for the
-    // per-pair protocol: every site has pending work, so horizons
+    // per-pair matrix: every site has pending work, so horizons
     // collapse toward the metro latency and the window win is small.
     // What must hold unconditionally is the contract — identical
-    // history, never *more* barriers than the global protocol.
-    let run = |per_pair: bool| {
+    // history, never *more* barriers than the uniform reference.
+    let run = |uniform: bool| {
         let cfg = VoScaleConfig {
             regions: 3,
             sites_per_region: 4,
             sessions: 2_000,
             steps_per_session: 10,
             hop_per_mille: 120,
-            per_pair_lookahead: per_pair,
             ..VoScaleConfig::reference()
         };
         let mut sim = build_vo_scale(&cfg).shards(4);
+        if uniform {
+            sim = sim.uniform_lookahead();
+        }
         metrics::reset();
         sim.run();
         metrics::reset();
@@ -197,23 +205,24 @@ fn per_pair_windows_match_global_history_on_the_scale_world() {
             sim.windows(),
         )
     };
-    let (global_history, global_windows) = run(false);
-    let (paired_history, paired_windows) = run(true);
+    let (uniform_history, uniform_windows) = run(true);
+    let (paired_history, paired_windows) = run(false);
     assert_eq!(
-        paired_history, global_history,
+        paired_history, uniform_history,
         "per-pair lookahead changed the simulated history"
     );
     assert!(
-        paired_windows <= global_windows,
-        "per-pair widened windows: {paired_windows} vs {global_windows}"
+        paired_windows <= uniform_windows,
+        "per-pair added windows: {paired_windows} vs {uniform_windows}"
     );
 }
 
 proptest! {
-    /// For any workload shape and seed, the per-pair protocol's
-    /// history is bit-identical to the global protocol's, and both
+    /// For any workload shape and seed, the topology schedule's
+    /// history is bit-identical to the uniform reference's, and both
     /// are invariant across the full shard {1,2,4,8} × thread {1,8}
-    /// sweep. Windows may only shrink when the matrix is installed.
+    /// sweep. The topology's windows are never more than the
+    /// reference's.
     #[test]
     fn per_pair_protocol_is_history_identical_for_any_seed(
         seed in 1u64..u64::MAX / 2,
@@ -228,22 +237,20 @@ proptest! {
             steps_per_session,
             hop_per_mille,
             seed,
-            per_pair_lookahead: false,
             ..VoConfig::paper_vo()
         };
-        let paired_cfg = VoConfig { per_pair_lookahead: true, ..cfg };
-        let (global, global_windows, global_boxed) = run_vo(&cfg, 1, 1);
-        let (paired, paired_windows, paired_boxed) = run_vo(&paired_cfg, 1, 1);
-        prop_assert_eq!(&paired, &global, "protocols diverged");
+        let (uniform, uniform_windows, uniform_boxed) = run_vo(&cfg, true, 1, 1);
+        let (paired, paired_windows, paired_boxed) = run_vo(&cfg, false, 1, 1);
+        prop_assert_eq!(&paired, &uniform, "schedules diverged");
         prop_assert!(
-            paired_windows <= global_windows,
-            "per-pair widened windows: {} vs {}", paired_windows, global_windows
+            paired_windows <= uniform_windows,
+            "per-pair added windows: {} vs {}", paired_windows, uniform_windows
         );
-        prop_assert_eq!(global_boxed, 0);
+        prop_assert_eq!(uniform_boxed, 0);
         prop_assert_eq!(paired_boxed, 0);
         for shards in [2usize, 4, 8] {
             for threads in [1usize, 8] {
-                let (got, windows, _) = run_vo(&paired_cfg, shards, threads);
+                let (got, windows, _) = run_vo(&cfg, false, shards, threads);
                 prop_assert_eq!(
                     &got, &paired,
                     "per-pair diverged at shards={} threads={}", shards, threads
@@ -252,12 +259,12 @@ proptest! {
                     windows, paired_windows,
                     "window count must not depend on packing"
                 );
-                let (got, windows, _) = run_vo(&cfg, shards, threads);
+                let (got, windows, _) = run_vo(&cfg, true, shards, threads);
                 prop_assert_eq!(
-                    &got, &global,
-                    "global diverged at shards={} threads={}", shards, threads
+                    &got, &uniform,
+                    "uniform diverged at shards={} threads={}", shards, threads
                 );
-                prop_assert_eq!(windows, global_windows);
+                prop_assert_eq!(windows, uniform_windows);
             }
         }
     }
