@@ -14,7 +14,8 @@
 //! VO makespan, and simulated events per wall second.
 
 use gridvm_bench::harness::{
-    m, run_main, Experiment, ExperimentReport, Measurement, Options, SampleCtx, Scenario,
+    m, peak_rss_mib, run_main, Experiment, ExperimentReport, Measurement, Options, SampleCtx,
+    Scenario,
 };
 use gridvm_core::multisite::{build_vo_scale, Placement, VoScaleConfig};
 use gridvm_simcore::metrics;
@@ -41,16 +42,6 @@ fn config(placement: Placement, seed: u64, quick: bool) -> VoScaleConfig {
             ..reference
         }
     }
-}
-
-/// Kernel-reported peak resident set (VmHWM) in MiB, if the platform
-/// exposes it. Host-dependent like every wall-clock figure here; the
-/// point is the *bound*, not the exact value.
-fn peak_rss_mib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb.div_ceil(1024))
 }
 
 struct VoScale;

@@ -376,6 +376,17 @@ pub fn run_main<E: Experiment + ?Sized>(exp: &E) {
     }
 }
 
+/// Kernel-reported peak resident set (VmHWM) in MiB, if the platform
+/// exposes it. Host-dependent like every wall-clock figure here; the
+/// point is the *bound*, not the exact value: binaries print it as a
+/// `peak_rss_mib=` epilogue line that CI holds under a ceiling.
+pub fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb.div_ceil(1024))
+}
+
 /// A one-line experiment banner.
 pub fn banner(title: &str, opts: &Options) {
     println!("=== {title} ===");

@@ -1,7 +1,13 @@
 //! Guest storage over a grid virtual file system: the adapter that
 //! carries a VM's file I/O through a PVFS [`Mount`] (Table 1's
 //! `VM, PVFS` configuration, and Figure 2's proxy sessions).
+//!
+//! The guest's bytes never affect timing, so a write run carries
+//! zeros: a slice of one shared zero buffer, which the mount cuts
+//! into 8 KiB RPCs and the server's sparse file stores as holes.
+//! Streaming gigabytes through the mount allocates no payload per run.
 
+use bytes::Bytes;
 use gridvm_simcore::time::{SimDuration, SimTime};
 use gridvm_storage::block::BlockAddr;
 use gridvm_vfs::fs::FileHandle;
@@ -14,6 +20,9 @@ pub struct NfsGuestStorage {
     file: FileHandle,
     client_cpu_per_block: SimDuration,
     label: String,
+    /// Zeros as long as the longest write run so far; each run
+    /// writes a slice of it.
+    zeros: Bytes,
 }
 
 impl std::fmt::Debug for NfsGuestStorage {
@@ -41,6 +50,7 @@ impl NfsGuestStorage {
             file,
             client_cpu_per_block,
             label: label.into(),
+            zeros: Bytes::new(),
         }
     }
 
@@ -57,9 +67,13 @@ impl GuestStorage for NfsGuestStorage {
         if write {
             // Writes of synthetic guest data: the byte content is
             // immaterial to timing, so write zeros of the right size
-            // per block through the mount.
-            let payload = vec![0u8; (count * bs) as usize];
-            let (done, r) = self.mount.write_range(now, self.file, offset, &payload);
+            // through the mount.
+            let len = (count * bs) as usize;
+            if self.zeros.len() < len {
+                self.zeros = Bytes::from(vec![0u8; len]);
+            }
+            let payload = self.zeros.slice(0..len);
+            let (done, r) = self.mount.write_range(now, self.file, offset, payload);
             // Synthetic read-only state files reject writes; guests
             // write to their own (writable) files, so surface errors.
             if r.is_err() {

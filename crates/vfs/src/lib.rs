@@ -22,7 +22,7 @@
 //!
 //! * [`protocol`] — RPC message types and the wire-cost model.
 //! * [`fs`] — the in-memory hierarchical file system (inodes,
-//!   directories, block-addressed file data).
+//!   directories, sparse file data in 8 KiB pages).
 //! * [`server`] — an NFS daemon serving a file system from a disk.
 //! * [`proxy`] — the PVFS proxy: LRU block cache, sequential
 //!   prefetch, write-behind buffer.

@@ -11,6 +11,7 @@
 //! * [`Transport::lan`] / [`Transport::wan`] — campus and
 //!   Florida↔Northwestern paths (Table 1's PVFS experiment).
 
+use bytes::Bytes;
 use gridvm_simcore::server::Pipe;
 use gridvm_simcore::time::{SimDuration, SimTime};
 use gridvm_simcore::units::Bandwidth;
@@ -316,25 +317,25 @@ impl Mount {
     }
 
     /// Writes an arbitrary byte range in block-sized RPCs; returns
-    /// completion time.
+    /// completion time. Each RPC carries a slice of `data`, so the
+    /// payload is never copied on the way to the server.
     pub fn write_range(
         &mut self,
         now: SimTime,
         fh: crate::fs::FileHandle,
         offset: u64,
-        data: &[u8],
+        data: Bytes,
     ) -> (SimTime, Result<(), NfsError>) {
         let mut t = now;
         let mut cursor = 0usize;
         while cursor < data.len() {
             let chunk = (data.len() - cursor).min(NFS_BLOCK.as_u64() as usize);
-            let payload = bytes::Bytes::copy_from_slice(&data[cursor..cursor + chunk]);
             let (done, r) = self.request(
                 t,
                 NfsRequest::Write {
                     fh,
                     offset: offset + cursor as u64,
-                    data: payload,
+                    data: data.slice(cursor..cursor + chunk),
                 },
             );
             t = done;
@@ -512,12 +513,12 @@ mod tests {
 
     #[test]
     fn proxy_write_buffer_hides_wan_latency() {
-        let data = vec![7u8; 64 * 1024];
+        let data = Bytes::from(vec![7u8; 64 * 1024]);
         let run = |proxy: Option<VfsProxy>| {
             let mut m = mount(Transport::wan(), proxy);
             let root = m.server().fs().root();
             let (_, fh) = m.create(SimTime::ZERO, root, "out");
-            let (done, r) = m.write_range(SimTime::from_secs(1), fh.unwrap(), 0, &data);
+            let (done, r) = m.write_range(SimTime::from_secs(1), fh.unwrap(), 0, data.clone());
             r.unwrap();
             done.duration_since(SimTime::from_secs(1))
         };
@@ -543,7 +544,7 @@ mod tests {
         let root = m.server().fs().root();
         let (_, fh) = m.create(SimTime::ZERO, root, "small");
         let fh = fh.unwrap();
-        let (t, _) = m.write_range(SimTime::ZERO, fh, 0, b"tiny");
+        let (t, _) = m.write_range(SimTime::ZERO, fh, 0, Bytes::from_static(b"tiny"));
         let (_, n) = m.read_range(t, fh, 0, 1 << 20);
         assert_eq!(n.unwrap(), 4);
     }

@@ -5,6 +5,7 @@
 //! cached by per-VM proxies. Asserts the sharing and isolation
 //! properties the figure illustrates.
 
+use bytes::Bytes;
 use gridvm::simcore::time::SimTime;
 use gridvm::simcore::units::ByteSize;
 use gridvm::storage::disk::{DiskModel, DiskProfile};
@@ -103,7 +104,7 @@ fn user_data_sessions_are_isolated_per_user() {
         server,
         Some(VfsProxy::new(ProxyConfig::default())),
     );
-    let (t, r) = session_a.write_range(t0, a_file, 0, b"belongs 2 A!");
+    let (t, r) = session_a.write_range(t0, a_file, 0, Bytes::from_static(b"belongs 2 A!"));
     r.expect("A can write A's file");
     // A's view of its own write is immediate (write-back cache).
     let (_, n) = session_a.read_range(t, a_file, 0, 64);
